@@ -1,104 +1,48 @@
-//! CI gate for recorded benchmark artifacts: parses `BENCH_engine.json`
-//! and `BENCH_kernels.json` (or the paths given as arguments) against the
-//! schemas in [`spca_bench::json`] and exits nonzero on any malformed
-//! file, so a hand-edited or truncated artifact cannot land silently.
+//! CI gate for the recorded benchmark artifacts.
 //!
-//! Artifacts self-identify via a `"schema"` discriminator field:
-//! `"kernels-v1"` selects the kernel-dispatch schema, `"backfill-v1"` the
-//! partitioned-backfill schema, `"serving-v1"` the always-on-serving
-//! schema, `"net-v1"` the wire-transport schema, `"elastic-v1"` the
-//! elastic-rescale schema; its absence selects the original
-//! engine-transport schema (recorded before discriminators existed).
+//! Checks each path given as an argument — by default every
+//! `BENCH_*.json` in the working directory — with
+//! [`spca_bench::json::check`]: the file's `"schema"` field must name an
+//! entry of the schema table, every field must have its kind, and every
+//! gate must pass. Exits nonzero on any failure, so a hand-edited,
+//! truncated or unrecognised artifact cannot land silently.
+//!
+//! ```text
+//! cargo run --release -p spca-bench --bin check_bench_json [PATH...]
+//! ```
 
-use spca_bench::json::{
-    BackfillBenchReport, ElasticBenchReport, EngineBenchReport, Json, KernelBenchReport,
-    NetBenchReport, ServingBenchReport, BACKFILL_SCHEMA, ELASTIC_SCHEMA, KERNELS_SCHEMA,
-    NET_SCHEMA, SERVING_SCHEMA,
-};
+use spca_bench::json::{artifacts_in, check, Json};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn check(path: &str) -> Result<(), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read file: {e}"))?;
-    let value = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    match value.get("schema").and_then(|s| s.as_str()) {
-        Some(KERNELS_SCHEMA) => {
-            let report =
-                KernelBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok (kernels-v1, {} cells, backend {}, {} reps)",
-                report.results.len(),
-                report.backend,
-                report.reps
-            );
-        }
-        Some(BACKFILL_SCHEMA) => {
-            let report =
-                BackfillBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok (backfill-v1, {} partitions, warm {:.1}x, {} cores)",
-                report.partitions, report.warm_speedup, report.cores
-            );
-        }
-        Some(SERVING_SCHEMA) => {
-            let report =
-                ServingBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok (serving-v1, {:.0} qps, p99 {:.0}us, ingest ratio {:.3}, {} cores)",
-                report.qps, report.p99_us, report.ingest_ratio, report.cores
-            );
-        }
-        Some(NET_SCHEMA) => {
-            let report = NetBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok (net-v1, codec {:.1}x CSV, dist ratio {:.2}, {:.0}us/msg, {} cores)",
-                report.codec_vs_csv,
-                report.dist_ratio,
-                report.per_message_overhead_us,
-                report.cores
-            );
-        }
-        Some(ELASTIC_SCHEMA) => {
-            let report =
-                ElasticBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok (elastic-v1, {} out / {} in, consistency {:.4}, out {:.1}ms / in \
-                 {:.1}ms, {} cores)",
-                report.scale_outs,
-                report.scale_ins,
-                report.consistency,
-                report.scale_out_latency_ms,
-                report.scale_in_latency_ms,
-                report.cores
-            );
-        }
-        Some(other) => return Err(format!("{path}: unknown schema '{other}'")),
-        None => {
-            let report =
-                EngineBenchReport::from_json(&value).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "{path}: ok ({} cells, {} tuples/run, batch {})",
-                report.results.len(),
-                report.tuples,
-                report.batch
-            );
-        }
-    }
-    Ok(())
+fn check_file(path: &Path) -> Result<&'static str, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read file: {e}"))?;
+    check(&Json::parse(&text)?)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paths: Vec<&str> = if args.is_empty() {
-        vec!["BENCH_engine.json", "BENCH_kernels.json"]
-    } else {
-        args.iter().map(|s| s.as_str()).collect()
-    };
+    let mut paths: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
+    if paths.is_empty() {
+        paths = match artifacts_in(Path::new(".")) {
+            Ok(found) if !found.is_empty() => found,
+            Ok(_) => {
+                eprintln!("error: no BENCH_*.json in the working directory");
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("error: cannot list the working directory: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+    }
     let mut failed = false;
-    for path in paths {
-        if let Err(e) = check(path) {
-            eprintln!("error: {e}");
-            failed = true;
+    for path in &paths {
+        match check_file(path) {
+            Ok(schema) => println!("{}: ok ({schema})", path.display()),
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                failed = true;
+            }
         }
     }
     if failed {

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{BackfillBenchReport, BackfillScalingRow};
+use spca_bench::json::{write_artifact, Json};
 use spca_core::PcaConfig;
 use spca_engine::{backfill, partition_csv_files, partition_csv_rows, BackfillConfig};
 use spca_spectra::{io, PlantedSubspace};
@@ -97,12 +97,14 @@ fn main() {
         walls.push((w, wall));
     }
     let wall_1 = walls.iter().find(|(w, _)| *w == 1).unwrap().1;
-    let scaling: Vec<BackfillScalingRow> = walls
+    let scaling: Vec<Json> = walls
         .iter()
-        .map(|&(workers, wall_s)| BackfillScalingRow {
-            workers,
-            wall_s,
-            speedup: wall_1 / wall_s,
+        .map(|&(workers, wall_s)| {
+            Json::obj([
+                ("workers", workers.into()),
+                ("wall_s", wall_s.into()),
+                ("speedup", (wall_1 / wall_s).into()),
+            ])
         })
         .collect();
 
@@ -154,35 +156,46 @@ fn main() {
     );
     eprintln!("incremental: +1 file -> {inc_computed} computed, {inc_hits} hits");
 
-    let report = BackfillBenchReport {
-        benchmark: format!(
-            "partitioned backfill: {ROWS} rows x d={D}, {PARTS} row-range partitions; \
-             cold scaling at 1/2/4/8 workers, cold-vs-warm store at {REF_WORKERS} workers, \
-             +1-file incrementality; medians of {RUNS} runs"
+    let report = Json::obj([
+        ("schema", "backfill-v1".into()),
+        (
+            "benchmark",
+            format!(
+                "partitioned backfill: {ROWS} rows x d={D}, {PARTS} row-range partitions; \
+                 cold scaling at 1/2/4/8 workers, cold-vs-warm store at {REF_WORKERS} workers, \
+                 +1-file incrementality; medians of {RUNS} runs"
+            )
+            .into(),
         ),
-        machine_note: format!(
-            "single container vCPU ({cores} core(s) visible), cargo run --release; \
-             the 2.5x scaling floor is waived below 4 cores — thread-level speedup \
-             is unmeasurable without physical parallelism"
+        (
+            "machine_note",
+            format!(
+                "single container vCPU ({cores} core(s) visible), cargo run --release; \
+                 the 2.5x scaling floor is waived below 4 cores — thread-level speedup \
+                 is unmeasurable without physical parallelism"
+            )
+            .into(),
         ),
-        cores,
-        partitions: PARTS as u64,
-        rows: ROWS as u64,
-        dim: D,
-        target: ">=2.5x cold speedup at 4 workers (waived under 4 cores); warm store >=10x \
-                 faster than cold; adding one partition recomputes exactly one"
-            .to_string(),
-        restarts: 0,
-        pe_restarts: 0,
-        scaling,
-        cold_wall_s,
-        warm_wall_s,
-        warm_speedup: cold_wall_s / warm_wall_s,
-        warm_cache_hits,
-        incremental_added: 1,
-        incremental_recomputed: inc_computed,
-    };
-    std::fs::write("BENCH_backfill.json", format!("{}\n", report.to_json())).unwrap();
-    println!("wrote BENCH_backfill.json");
+        ("cores", cores.into()),
+        ("partitions", PARTS.into()),
+        ("rows", ROWS.into()),
+        ("dim", D.into()),
+        (
+            "target",
+            ">=2.5x cold speedup at 4 workers (waived under 4 cores); warm store >=10x \
+             faster than cold; adding one partition recomputes exactly one"
+                .into(),
+        ),
+        ("restarts", 0u64.into()),
+        ("pe_restarts", 0u64.into()),
+        ("scaling", scaling.into()),
+        ("cold_wall_s", cold_wall_s.into()),
+        ("warm_wall_s", warm_wall_s.into()),
+        ("warm_speedup", (cold_wall_s / warm_wall_s).into()),
+        ("warm_cache_hits", warm_cache_hits.into()),
+        ("incremental_added", 1u64.into()),
+        ("incremental_recomputed", inc_computed.into()),
+    ]);
+    write_artifact("BENCH_backfill.json", &report);
     std::fs::remove_dir_all(&work).ok();
 }

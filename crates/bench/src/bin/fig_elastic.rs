@@ -12,15 +12,16 @@
 //!
 //! A fixed-fleet reference run over the *same seeded observations*
 //! provides the consistency figure: the subspace distance between the
-//! two final merged eigensystems. Gates (enforced by `from_json`, i.e.
-//! by CI's `check_bench_json`): at least one rescale in each direction,
-//! zero tuple loss, zero restarts of either kind, consistency within
-//! 0.25, and rescale latencies under 1 s on hosts with ≥ 4 cores.
+//! two final merged eigensystems. Gates (the `elastic-v1` schema entry,
+//! checked before writing and by CI's `check_bench_json`): at least one
+//! rescale in each direction, zero tuple loss, zero restarts of either
+//! kind, consistency within 0.25, and rescale latencies under 1 s on
+//! hosts with ≥ 4 cores.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{ElasticBenchReport, ELASTIC_CONSISTENCY_TOL};
+use spca_bench::json::{write_artifact, Json};
 use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{AppConfig, ElasticRuntime, ParallelPcaApp, SyncStrategy};
@@ -154,34 +155,41 @@ fn main() {
         processed
     );
 
-    let report = ElasticBenchReport {
-        benchmark: "scripted scale-out at N/4 and scale-in at 3N/4 on a paced planted-subspace \
-                    stream, vs a fixed-fleet reference over the same observations"
-            .into(),
-        machine_note: "single container vCPU, cargo run --release, same build for every column"
-            .into(),
-        cores,
-        dim: DIM,
-        tuples: N_TUPLES,
-        target: format!(
-            "zero tuple loss, fault-free, consistency <= {ELASTIC_CONSISTENCY_TOL}, one rescale \
-             each direction"
+    let report = Json::obj([
+        ("schema", "elastic-v1".into()),
+        (
+            "benchmark",
+            "scripted scale-out at N/4 and scale-in at 3N/4 on a paced planted-subspace stream, \
+             vs a fixed-fleet reference over the same observations"
+                .into(),
         ),
-        restarts: outcome.report.total_restarts(),
-        pe_restarts: outcome.report.total_pe_restarts(),
-        scale_outs: outcome.report.total_scale_outs(),
-        scale_ins: outcome.report.total_scale_ins(),
-        tuple_loss: fed.saturating_sub(processed),
-        scale_out_latency_ms: outcome.scale_out_latency.as_secs_f64() * 1e3,
-        scale_in_latency_ms: outcome.scale_in_latency.as_secs_f64() * 1e3,
-        consistency,
-        max_engines: MAX_ENGINES,
-        final_engines: outcome.final_engines,
-    };
-
-    // Self-gate before writing: a recording that would fail CI aborts here.
-    let text = format!("{}\n", report.to_json());
-    ElasticBenchReport::parse(&text).expect("recorded artifact fails its own schema gates");
-    std::fs::write("BENCH_elastic.json", text).expect("write BENCH_elastic.json");
-    println!("wrote BENCH_elastic.json");
+        (
+            "machine_note",
+            "single container vCPU, cargo run --release, same build for every column".into(),
+        ),
+        ("cores", cores.into()),
+        ("dim", DIM.into()),
+        ("tuples", N_TUPLES.into()),
+        (
+            "target",
+            "zero tuple loss, fault-free, consistency <= 0.25, one rescale each direction".into(),
+        ),
+        ("restarts", outcome.report.total_restarts().into()),
+        ("pe_restarts", outcome.report.total_pe_restarts().into()),
+        ("scale_outs", outcome.report.total_scale_outs().into()),
+        ("scale_ins", outcome.report.total_scale_ins().into()),
+        ("tuple_loss", fed.saturating_sub(processed).into()),
+        (
+            "scale_out_latency_ms",
+            (outcome.scale_out_latency.as_secs_f64() * 1e3).into(),
+        ),
+        (
+            "scale_in_latency_ms",
+            (outcome.scale_in_latency.as_secs_f64() * 1e3).into(),
+        ),
+        ("consistency", consistency.into()),
+        ("max_engines", MAX_ENGINES.into()),
+        ("final_engines", outcome.final_engines.into()),
+    ]);
+    write_artifact("BENCH_elastic.json", &report);
 }

@@ -20,7 +20,7 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::{EngineBenchReport, EngineBenchRow};
+use spca_bench::json::{write_artifact, Json};
 use spca_bench::{print_table, write_csv};
 use spca_core::PcaConfig;
 use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
@@ -124,14 +124,22 @@ fn main() {
                 batched,
                 speedup,
             ]);
-            report_rows.push(EngineBenchRow {
-                config: format!("{}-{engines}", if fuse { "fused" } else { "unfused" }),
-                fused: fuse,
-                engines,
-                batch1_tuples_per_s: batch1,
-                batched_tuples_per_s: batched,
-                speedup,
-            });
+            report_rows.push(Json::obj([
+                (
+                    "config",
+                    format!("{}-{engines}", if fuse { "fused" } else { "unfused" }).into(),
+                ),
+                ("fused", fuse.into()),
+                ("engines", engines.into()),
+                ("batch1_tuples_per_s", batch1.into()),
+                ("batched_tuples_per_s", batched.into()),
+                ("speedup", speedup.into()),
+            ]));
+            if !fuse && engines == 2 {
+                println!(
+                    "unfused 2-engine speedup: {speedup:.2}x ({batch1:.0} → {batched:.0} tuples/s)"
+                );
+            }
         }
     }
 
@@ -146,32 +154,30 @@ fn main() {
     let csv = write_csv("fig_engine.csv", &header, &rows);
     println!("\nwrote {}", csv.display());
 
-    let report = EngineBenchReport {
-        benchmark: format!(
-            "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per \
-             cell; unfused cross-PE links modeled at {NET_DELAY_US} µs per message)"
+    let report = Json::obj([
+        ("schema", "engine-v1".into()),
+        (
+            "benchmark",
+            format!(
+                "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per \
+                 cell; unfused cross-PE links modeled at {NET_DELAY_US} µs per message)"
+            )
+            .into(),
         ),
-        machine_note: "single container vCPU, cargo run --release, same build for both columns"
-            .to_string(),
-        tuples: TUPLES,
-        dim: DIM,
-        batch: DEFAULT_BATCH_SIZE,
-        target: "unfused 2-engine batched ≥ 1.5x over batch-size-1".to_string(),
-        restarts: total_restarts,
-        pe_restarts: total_pe_restarts,
-        results: report_rows,
-    };
-    std::fs::write("BENCH_engine.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_engine.json");
-    println!("wrote BENCH_engine.json");
-
-    let key = report
-        .results
-        .iter()
-        .find(|r| !r.fused && r.engines == 2)
-        .expect("unfused-2 cell");
-    println!(
-        "unfused 2-engine speedup: {:.2}x ({:.0} → {:.0} tuples/s)",
-        key.speedup, key.batch1_tuples_per_s, key.batched_tuples_per_s
-    );
+        (
+            "machine_note",
+            "single container vCPU, cargo run --release, same build for both columns".into(),
+        ),
+        ("tuples", TUPLES.into()),
+        ("dim", DIM.into()),
+        ("batch", DEFAULT_BATCH_SIZE.into()),
+        (
+            "target",
+            "unfused 2-engine batched ≥ 1.5x over batch-size-1".into(),
+        ),
+        ("restarts", total_restarts.into()),
+        ("pe_restarts", total_pe_restarts.into()),
+        ("results", report_rows.into()),
+    ]);
+    write_artifact("BENCH_engine.json", &report);
 }

@@ -10,7 +10,7 @@
 //! shape every consumer in the engine produces (basis panels, Gram
 //! accumulation), not a square BLAS-3 stress shape.
 
-use spca_bench::json::{KernelBenchReport, KernelBenchRow};
+use spca_bench::json::{write_artifact, Json};
 use spca_bench::print_table;
 use spca_linalg::kernels::{self, Backend};
 use std::hint::black_box;
@@ -105,13 +105,13 @@ fn main() {
             let speedup = scalar_ns / dispatched_ns;
             println!("{kernel:>5} d={d:<5} scalar {scalar_ns:10.1} ns  dispatched {dispatched_ns:10.1} ns  {speedup:5.2}x");
             table.push(vec![d as f64, scalar_ns, dispatched_ns, speedup]);
-            rows.push(KernelBenchRow {
-                kernel: kernel.to_string(),
-                d,
-                scalar_ns,
-                dispatched_ns,
-                speedup,
-            });
+            rows.push(Json::obj([
+                ("kernel", kernel.into()),
+                ("d", d.into()),
+                ("scalar_ns", scalar_ns.into()),
+                ("dispatched_ns", dispatched_ns.into()),
+                ("speedup", speedup.into()),
+            ]));
         }
     }
     print_table(
@@ -120,20 +120,29 @@ fn main() {
         &table,
     );
 
-    let report = KernelBenchReport {
-        benchmark: format!(
-            "kernel dispatch: dot/axpy/gemm at d in {{256, 1000, 4000}}, gemm as \
-             (d x {GEMM_K}) * ({GEMM_K} x {GEMM_W}), median of {REPS} samples per cell"
+    let report = Json::obj([
+        ("schema", "kernels-v1".into()),
+        (
+            "benchmark",
+            format!(
+                "kernel dispatch: dot/axpy/gemm at d in {{256, 1000, 4000}}, gemm as \
+                 (d x {GEMM_K}) * ({GEMM_K} x {GEMM_W}), median of {REPS} samples per cell"
+            )
+            .into(),
         ),
-        machine_note: "single container vCPU, cargo run --release, both columns timed in one \
-                       process via the backend override"
-            .to_string(),
-        backend: dispatched.name().to_string(),
-        reps: REPS as u64,
-        target: "dot and gemm at d=1000 ≥ 1.5x dispatched over scalar".to_string(),
-        results: rows,
-    };
-    std::fs::write("BENCH_kernels.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+        (
+            "machine_note",
+            "single container vCPU, cargo run --release, both columns timed in one process via \
+             the backend override"
+                .into(),
+        ),
+        ("backend", dispatched.name().into()),
+        ("reps", REPS.into()),
+        (
+            "target",
+            "dot and gemm at d=1000 ≥ 1.5x dispatched over scalar".into(),
+        ),
+        ("results", rows.into()),
+    ]);
+    write_artifact("BENCH_kernels.json", &report);
 }

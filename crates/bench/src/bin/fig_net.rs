@@ -26,7 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::NetBenchReport;
+use spca_bench::json::{write_artifact, Json};
 use spca_bench::print_table;
 use spca_engine::{run_coordinator, run_local, DistSpec};
 use spca_spectra::PlantedSubspace;
@@ -434,39 +434,52 @@ fn main() {
     ]];
     print_table("wire transport", &header, &rows);
 
-    let report = NetBenchReport {
-        benchmark: format!(
-            "wire transport: codec round trip vs CSV text at d = {DIM} ({CODEC_REPS} reps of \
-             {BATCH}-tuple frames), 2-process loopback coordinator/worker run vs in-process \
-             baseline ({ROWS} rows at d = {CORPUS_DIM}, bit-identical snapshots asserted), \
-             loopback TCP_NODELAY half-round-trip as the per-message cost-model constant"
+    let report = Json::obj([
+        ("schema", "net-v1".into()),
+        (
+            "benchmark",
+            format!(
+                "wire transport: codec round trip vs CSV text at d = {DIM} ({CODEC_REPS} reps \
+                 of {BATCH}-tuple frames), 2-process loopback coordinator/worker run vs \
+                 in-process baseline ({ROWS} rows at d = {CORPUS_DIM}, bit-identical snapshots \
+                 asserted), loopback TCP_NODELAY half-round-trip as the per-message cost-model \
+                 constant"
+            )
+            .into(),
         ),
-        machine_note: "single container vCPU, cargo run --release, same build for every column"
-            .to_string(),
-        cores,
-        dim: DIM,
-        batch: BATCH,
-        tuples: (CODEC_REPS * BATCH) as u64,
-        target: format!(
-            "codec >= 5x CSV at d = {DIM}, zero steady-state allocs, loopback 2-process >= \
-             0.5x in-process (waived under 4 cores)"
+        (
+            "machine_note",
+            "single container vCPU, cargo run --release, same build for every column".into(),
         ),
-        restarts: dist.restarts,
-        codec_encode_gbps: codec.encode_gbps,
-        codec_decode_gbps: codec.decode_gbps,
-        codec_roundtrip_tuples_per_s: codec.roundtrip_tuples_per_s,
-        csv_roundtrip_tuples_per_s: csv_tuples_per_s,
-        codec_vs_csv,
-        codec_steady_allocs: codec.steady_allocs,
-        frame_bytes_per_tuple: codec.frame_bytes_per_tuple,
-        local_tuples_per_s: dist.local_tuples_per_s,
-        dist_tuples_per_s: dist.dist_tuples_per_s,
-        dist_ratio,
-        per_message_overhead_us,
-    };
-    std::fs::write("BENCH_net.json", format!("{}\n", report.to_json()))
-        .expect("write BENCH_net.json");
-    println!("wrote BENCH_net.json");
+        ("cores", cores.into()),
+        ("dim", DIM.into()),
+        ("batch", BATCH.into()),
+        ("tuples", (CODEC_REPS * BATCH).into()),
+        (
+            "target",
+            format!(
+                "codec >= 5x CSV at d = {DIM}, zero steady-state allocs, loopback 2-process >= \
+                 0.5x in-process (waived under 4 cores)"
+            )
+            .into(),
+        ),
+        ("restarts", dist.restarts.into()),
+        ("codec_encode_gbps", codec.encode_gbps.into()),
+        ("codec_decode_gbps", codec.decode_gbps.into()),
+        (
+            "codec_roundtrip_tuples_per_s",
+            codec.roundtrip_tuples_per_s.into(),
+        ),
+        ("csv_roundtrip_tuples_per_s", csv_tuples_per_s.into()),
+        ("codec_vs_csv", codec_vs_csv.into()),
+        ("codec_steady_allocs", codec.steady_allocs.into()),
+        ("frame_bytes_per_tuple", codec.frame_bytes_per_tuple.into()),
+        ("local_tuples_per_s", dist.local_tuples_per_s.into()),
+        ("dist_tuples_per_s", dist.dist_tuples_per_s.into()),
+        ("dist_ratio", dist_ratio.into()),
+        ("per_message_overhead_us", per_message_overhead_us.into()),
+    ]);
+    write_artifact("BENCH_net.json", &report);
     println!(
         "codec {:.2}x CSV ({:.0} vs {:.0} tuples/s), {} steady-state allocs, dist ratio \
          {:.2} on {} core(s), {:.0} us/message",

@@ -21,7 +21,7 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spca_bench::json::ServingBenchReport;
+use spca_bench::json::{write_artifact, Json};
 use spca_core::PcaConfig;
 use spca_engine::{
     endpoint_index, AppConfig, EigenQueryHandler, EpochStore, ParallelPcaApp, ServeShared,
@@ -221,36 +221,47 @@ fn main() {
         run.tps
     );
 
-    let report = ServingBenchReport {
-        benchmark: format!(
-            "always-on serving: {ENGINES}-engine ingest of {N_TUPLES} planted-subspace \
-             tuples (d={DIM}, p={P}, publish every 64) vs the same run with {CLIENTS} \
-             keep-alive clients hammering /project and /score; latency quantiles are \
-             server-side /project times; medians of {RUNS} runs"
+    let report = Json::obj([
+        ("schema", "serving-v1".into()),
+        (
+            "benchmark",
+            format!(
+                "always-on serving: {ENGINES}-engine ingest of {N_TUPLES} planted-subspace \
+                 tuples (d={DIM}, p={P}, publish every 64) vs the same run with {CLIENTS} \
+                 keep-alive clients hammering /project and /score; latency quantiles are \
+                 server-side /project times; medians of {RUNS} runs"
+            )
+            .into(),
         ),
-        machine_note: format!(
-            "single container vCPU ({cores} core(s) visible), cargo run --release; \
-             the 0.9 ingest-ratio floor is waived below 4 cores — clients and engines \
-             contend for the same cores there"
+        (
+            "machine_note",
+            format!(
+                "single container vCPU ({cores} core(s) visible), cargo run --release; \
+                 the 0.9 ingest-ratio floor is waived below 4 cores — clients and engines \
+                 contend for the same cores there"
+            )
+            .into(),
         ),
-        cores,
-        dim: DIM,
-        tuples: N_TUPLES,
-        target: "serving costs ingest <=10% (ratio >= 0.9, waived under 4 cores); \
-                 fault-free recording; monotone latency quantiles"
-            .to_string(),
-        restarts: run.report.total_restarts(),
-        pe_restarts: run.report.total_pe_restarts(),
-        clients: CLIENTS,
-        requests: run.requests,
-        qps: run.qps,
-        p50_us: run.p50_us,
-        p99_us: run.p99_us,
-        p999_us: run.p999_us,
-        baseline_tuples_per_s: baseline_tps,
-        serving_tuples_per_s: run.tps,
-        ingest_ratio: ratio,
-    };
-    std::fs::write("BENCH_serving.json", format!("{}\n", report.to_json())).unwrap();
-    println!("wrote BENCH_serving.json");
+        ("cores", cores.into()),
+        ("dim", DIM.into()),
+        ("tuples", N_TUPLES.into()),
+        (
+            "target",
+            "serving costs ingest <=10% (ratio >= 0.9, waived under 4 cores); \
+             fault-free recording; monotone latency quantiles"
+                .into(),
+        ),
+        ("restarts", run.report.total_restarts().into()),
+        ("pe_restarts", run.report.total_pe_restarts().into()),
+        ("clients", CLIENTS.into()),
+        ("requests", run.requests.into()),
+        ("qps", run.qps.into()),
+        ("p50_us", run.p50_us.into()),
+        ("p99_us", run.p99_us.into()),
+        ("p999_us", run.p999_us.into()),
+        ("baseline_tuples_per_s", baseline_tps.into()),
+        ("serving_tuples_per_s", run.tps.into()),
+        ("ingest_ratio", ratio.into()),
+    ]);
+    write_artifact("BENCH_serving.json", &report);
 }

@@ -1,11 +1,16 @@
-//! Minimal JSON support for the recorded benchmark artifacts.
+//! Minimal JSON support and the schema table for the recorded benchmark
+//! artifacts.
 //!
 //! The workspace deliberately carries no serialization dependency, so the
 //! `BENCH_*.json` files are written and re-validated with this small
-//! hand-rolled value type: enough JSON to round-trip the benchmark
-//! reports, strict enough to reject malformed artifacts in CI.
+//! hand-rolled value type. Every artifact names its schema in a
+//! `"schema"` field; the `SCHEMAS` table gives each schema's fields, their kinds
+//! and the gates its numbers must pass, and [`check`] walks that table.
+//! The `fig_*` writers and the `check_bench_json` CI gate both go
+//! through [`check`], so a recording cannot pass one and fail the other.
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +30,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Parses a complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
@@ -357,1205 +372,724 @@ impl Parser<'_> {
     }
 }
 
-/// One row of the engine-transport benchmark grid: a (fusion, engine
-/// count) cell measured at batch size 1 and at the batched default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineBenchRow {
-    /// Cell label, e.g. `"unfused-2"`.
-    pub config: String,
-    /// Whether the whole graph ran in one PE.
-    pub fused: bool,
-    /// Number of parallel PCA engines.
-    pub engines: usize,
-    /// Median throughput with per-tuple transport (batch size 1).
-    pub batch1_tuples_per_s: f64,
-    /// Median throughput with frame transport (the default batch size).
-    pub batched_tuples_per_s: f64,
-    /// `batched / batch1`.
-    pub speedup: f64,
+/// Builds a JSON number from any numeric field of a recording.
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
 }
+json_from_number!(f64, u64, usize);
 
-/// The recorded engine-transport benchmark artifact (`BENCH_engine.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineBenchReport {
-    /// What was measured and how many samples per cell.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Tuples pushed through the graph per run.
-    pub tuples: u64,
-    /// Observation dimensionality of the workload.
-    pub dim: usize,
-    /// Batch size used for the "batched" column.
-    pub batch: usize,
-    /// The acceptance target the grid was recorded against.
-    pub target: String,
-    /// Total operator restarts observed across every measured run. The
-    /// recorded grid must be fault-free, so anything other than zero
-    /// fails validation: a fault plan leaking into a benchmark run can
-    /// never land as a committed artifact.
-    pub restarts: u64,
-    /// Total whole-PE restarts (operator-weighted, see
-    /// `RunReport::total_pe_restarts`) across every measured run. Gated to
-    /// zero exactly like `restarts`.
-    pub pe_restarts: u64,
-    /// One row per (fusion, engines) cell.
-    pub results: Vec<EngineBenchRow>,
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn num_field(v: &Json, key: &str) -> Result<f64, String> {
-    let n = field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field '{key}' is not a number"))?;
-    if !n.is_finite() {
-        return Err(format!("field '{key}' is not finite"));
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
     }
-    Ok(n)
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+}
+
+/// The kind of value a field must hold.
+enum Kind {
+    /// A string.
+    Str,
+    /// A finite number.
+    Num,
+    /// A non-negative integer.
+    Count,
+    /// `true` or `false`.
+    Bool,
+    /// A non-empty array of objects, each of the given shape.
+    Rows(Shape),
+}
+
+/// Names a field: its key in the object being checked, or
+/// `rows[key=value,...].field` for a field of the one row of the
+/// top-level array `rows` whose keys hold those values.
+type FieldRef = &'static str;
+
+/// A recorded claim the artifact's numbers must uphold.
+enum Gate {
+    /// Each field is greater than 0.
+    Positive(&'static [FieldRef]),
+    /// Each field is exactly 0: what a fault-free, allocation-free
+    /// recording shows.
+    Zero(&'static [FieldRef]),
+    /// `field` equals `numerator / denominator` within [`RATIO_TOLERANCE`].
+    Ratio(FieldRef, FieldRef, FieldRef),
+    /// `field >= floor`, unless the waiver holds; a waived bound does not
+    /// read its field.
+    Floor(FieldRef, f64, Option<Waiver>),
+    /// `field <= ceiling`, unless the waiver holds.
+    Ceiling(FieldRef, f64, Option<Waiver>),
+    /// The fields are non-decreasing in the order given.
+    Ascending(&'static [FieldRef]),
+    /// The two fields are equal.
+    Equal(FieldRef, FieldRef),
+    /// The row `rows[key=value,...]` exists, even where a waiver lifts
+    /// the bound on it.
+    Row(&'static str),
+}
+
+/// A host condition under which a floor or ceiling is unmeasurable, and
+/// so waived rather than failed.
+enum Waiver {
+    /// The field is below the value, e.g. `cores < 4`: thread-level
+    /// scaling needs physical cores to show.
+    Below(FieldRef, f64),
+    /// The field equals the string, e.g. `backend == "scalar"`: there is
+    /// no SIMD backend to be faster.
+    Is(FieldRef, &'static str),
+}
+
+impl fmt::Display for Waiver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Below(field, x) => write!(f, "{field} < {x}"),
+            Is(field, s) => write!(f, "{field} == \"{s}\""),
+        }
+    }
+}
+
+/// The fields of one JSON object, with their kinds, and the gates its
+/// values must pass.
+struct Shape {
+    /// Every required field, in the order writers emit them.
+    fields: &'static [(&'static str, Kind)],
+    /// Checked after every field has its kind.
+    gates: &'static [Gate],
+}
+
+/// Relative tolerance of a [`Gate::Ratio`]: recorded ratios are computed
+/// from unrounded values, so anything further off was edited or mis-wired.
+const RATIO_TOLERANCE: f64 = 0.02;
+
+use Gate::*;
+use Kind::*;
+use Waiver::*;
+
+/// Every artifact schema, keyed by the value of its `"schema"` field.
+/// Adding an artifact means one entry here plus the writer that records
+/// it through [`write_artifact`].
+static SCHEMAS: &[(&str, Shape)] = &[
+    (
+        // `BENCH_engine.json`: cross-PE batching holds its speedup on the
+        // full application graph.
+        "engine-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("tuples", Count),
+                ("dim", Count),
+                ("batch", Count),
+                ("target", Str),
+                ("restarts", Count),
+                ("pe_restarts", Count),
+                (
+                    "results",
+                    Rows(Shape {
+                        fields: &[
+                            ("config", Str),
+                            ("fused", Bool),
+                            ("engines", Count),
+                            ("batch1_tuples_per_s", Num),
+                            ("batched_tuples_per_s", Num),
+                            ("speedup", Num),
+                        ],
+                        gates: &[
+                            Positive(&["engines", "batch1_tuples_per_s", "batched_tuples_per_s"]),
+                            Ratio("speedup", "batched_tuples_per_s", "batch1_tuples_per_s"),
+                        ],
+                    }),
+                ),
+            ],
+            gates: &[
+                Positive(&["tuples"]),
+                Floor("batch", 2.0, None),
+                Zero(&["restarts", "pe_restarts"]),
+            ],
+        },
+    ),
+    (
+        // `BENCH_hotpath.json`: the robust update's hot-path rewrite,
+        // before vs after, from `cargo bench --bench update_cost`.
+        "hotpath-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("change", Str),
+                ("target", Str),
+                (
+                    "results",
+                    Rows(Shape {
+                        fields: &[
+                            ("dim", Count),
+                            ("before_median_ns", Num),
+                            ("after_median_ns", Num),
+                            ("speedup", Num),
+                        ],
+                        gates: &[
+                            Positive(&["dim", "before_median_ns", "after_median_ns"]),
+                            Ratio("speedup", "before_median_ns", "after_median_ns"),
+                        ],
+                    }),
+                ),
+                ("allocation_guard", Str),
+            ],
+            gates: &[
+                Row("results[dim=1000]"),
+                Floor("results[dim=1000].speedup", 1.5, None),
+            ],
+        },
+    ),
+    (
+        // `BENCH_kernels.json`: the dispatched SIMD kernels beat the
+        // scalar fallback where the engine spends its time.
+        "kernels-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("backend", Str),
+                ("reps", Count),
+                ("target", Str),
+                (
+                    "results",
+                    Rows(Shape {
+                        fields: &[
+                            ("kernel", Str),
+                            ("d", Count),
+                            ("scalar_ns", Num),
+                            ("dispatched_ns", Num),
+                            ("speedup", Num),
+                        ],
+                        gates: &[
+                            Positive(&["d", "scalar_ns", "dispatched_ns"]),
+                            Ratio("speedup", "scalar_ns", "dispatched_ns"),
+                        ],
+                    }),
+                ),
+            ],
+            gates: &[
+                Positive(&["reps"]),
+                Row("results[kernel=dot,d=1000]"),
+                Row("results[kernel=gemm,d=1000]"),
+                Floor(
+                    "results[kernel=dot,d=1000].speedup",
+                    1.5,
+                    Some(Is("backend", "scalar")),
+                ),
+                Floor(
+                    "results[kernel=gemm,d=1000].speedup",
+                    1.5,
+                    Some(Is("backend", "scalar")),
+                ),
+            ],
+        },
+    ),
+    (
+        // `BENCH_backfill.json`: parallel scaling, a warm store that is
+        // all cache hits, and O(partition) incrementality.
+        "backfill-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("cores", Count),
+                ("partitions", Count),
+                ("rows", Count),
+                ("dim", Count),
+                ("target", Str),
+                ("restarts", Count),
+                ("pe_restarts", Count),
+                (
+                    "scaling",
+                    Rows(Shape {
+                        fields: &[("workers", Count), ("wall_s", Num), ("speedup", Num)],
+                        gates: &[
+                            Positive(&["workers", "wall_s"]),
+                            Ratio("speedup", "scaling[workers=1].wall_s", "wall_s"),
+                        ],
+                    }),
+                ),
+                ("cold_wall_s", Num),
+                ("warm_wall_s", Num),
+                ("warm_speedup", Num),
+                ("warm_cache_hits", Count),
+                ("incremental_added", Count),
+                ("incremental_recomputed", Count),
+            ],
+            gates: &[
+                Positive(&[
+                    "cores",
+                    "partitions",
+                    "cold_wall_s",
+                    "warm_wall_s",
+                    "incremental_added",
+                ]),
+                Zero(&["restarts", "pe_restarts"]),
+                Equal("warm_cache_hits", "partitions"),
+                Ratio("warm_speedup", "cold_wall_s", "warm_wall_s"),
+                Floor("warm_speedup", 10.0, None),
+                Equal("incremental_recomputed", "incremental_added"),
+                Row("scaling[workers=1]"),
+                Row("scaling[workers=4]"),
+                Floor("scaling[workers=4].speedup", 2.5, Some(Below("cores", 4.0))),
+            ],
+        },
+    ),
+    (
+        // `BENCH_serving.json`: serving sustains its query load without
+        // costing ingest more than 10%.
+        "serving-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("cores", Count),
+                ("dim", Count),
+                ("tuples", Count),
+                ("target", Str),
+                ("restarts", Count),
+                ("pe_restarts", Count),
+                ("clients", Count),
+                ("requests", Count),
+                ("qps", Num),
+                ("p50_us", Num),
+                ("p99_us", Num),
+                ("p999_us", Num),
+                ("baseline_tuples_per_s", Num),
+                ("serving_tuples_per_s", Num),
+                ("ingest_ratio", Num),
+            ],
+            gates: &[
+                Positive(&[
+                    "cores",
+                    "dim",
+                    "tuples",
+                    "clients",
+                    "requests",
+                    "qps",
+                    "p50_us",
+                    "baseline_tuples_per_s",
+                    "serving_tuples_per_s",
+                ]),
+                Zero(&["restarts", "pe_restarts"]),
+                Ascending(&["p50_us", "p99_us", "p999_us"]),
+                Ratio(
+                    "ingest_ratio",
+                    "serving_tuples_per_s",
+                    "baseline_tuples_per_s",
+                ),
+                Floor("ingest_ratio", 0.9, Some(Below("cores", 4.0))),
+            ],
+        },
+    ),
+    (
+        // `BENCH_net.json`: the columnar codec beats CSV without
+        // allocating, and real loopback processes keep half the
+        // in-process throughput.
+        "net-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("cores", Count),
+                ("dim", Count),
+                ("batch", Count),
+                ("tuples", Count),
+                ("target", Str),
+                ("restarts", Count),
+                ("codec_encode_gbps", Num),
+                ("codec_decode_gbps", Num),
+                ("codec_roundtrip_tuples_per_s", Num),
+                ("csv_roundtrip_tuples_per_s", Num),
+                ("codec_vs_csv", Num),
+                ("codec_steady_allocs", Count),
+                ("frame_bytes_per_tuple", Num),
+                ("local_tuples_per_s", Num),
+                ("dist_tuples_per_s", Num),
+                ("dist_ratio", Num),
+                ("per_message_overhead_us", Num),
+            ],
+            gates: &[
+                Positive(&[
+                    "cores",
+                    "dim",
+                    "batch",
+                    "tuples",
+                    "codec_encode_gbps",
+                    "codec_decode_gbps",
+                    "codec_roundtrip_tuples_per_s",
+                    "csv_roundtrip_tuples_per_s",
+                    "frame_bytes_per_tuple",
+                    "local_tuples_per_s",
+                    "dist_tuples_per_s",
+                    "per_message_overhead_us",
+                ]),
+                Zero(&["restarts", "codec_steady_allocs"]),
+                Ratio(
+                    "codec_vs_csv",
+                    "codec_roundtrip_tuples_per_s",
+                    "csv_roundtrip_tuples_per_s",
+                ),
+                Floor("codec_vs_csv", 5.0, None),
+                Ratio("dist_ratio", "dist_tuples_per_s", "local_tuples_per_s"),
+                Floor("dist_ratio", 0.5, Some(Below("cores", 4.0))),
+            ],
+        },
+    ),
+    (
+        // `BENCH_elastic.json`: a scale-out and a scale-in mid-stream lose
+        // no tuple, restart nothing, and agree with a fixed fleet.
+        "elastic-v1",
+        Shape {
+            fields: &[
+                ("benchmark", Str),
+                ("machine_note", Str),
+                ("cores", Count),
+                ("dim", Count),
+                ("tuples", Count),
+                ("target", Str),
+                ("restarts", Count),
+                ("pe_restarts", Count),
+                ("scale_outs", Count),
+                ("scale_ins", Count),
+                ("tuple_loss", Count),
+                ("scale_out_latency_ms", Num),
+                ("scale_in_latency_ms", Num),
+                ("consistency", Num),
+                ("max_engines", Count),
+                ("final_engines", Count),
+            ],
+            gates: &[
+                Positive(&[
+                    "cores",
+                    "dim",
+                    "tuples",
+                    "scale_outs",
+                    "scale_ins",
+                    "scale_out_latency_ms",
+                    "scale_in_latency_ms",
+                    "final_engines",
+                ]),
+                Zero(&["restarts", "pe_restarts", "tuple_loss"]),
+                // A subspace distance, within the tolerance that
+                // `crates/engine/tests/elastic.rs` also holds the run to.
+                Floor("consistency", 0.0, None),
+                Ceiling("consistency", 0.25, None),
+                Ascending(&["final_engines", "max_engines"]),
+                Ceiling("scale_out_latency_ms", 1000.0, Some(Below("cores", 4.0))),
+                Ceiling("scale_in_latency_ms", 1000.0, Some(Below("cores", 4.0))),
+            ],
+        },
+    ),
+];
+
+/// Checks an artifact against its entry in the `SCHEMAS` table: its `"schema"`
+/// field must name an entry, every field of the entry must be present
+/// with its kind, and every gate must pass. Returns the schema name; an
+/// error names the field that failed.
+pub fn check(artifact: &Json) -> Result<&'static str, String> {
+    let name = artifact
+        .get("schema")
+        .ok_or("missing field 'schema'")?
         .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))?
-        .to_string())
+        .ok_or("field 'schema' is not a string")?;
+    let (name, shape) = SCHEMAS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| format!("unknown schema '{name}'"))?;
+    check_shape(artifact, artifact, shape)?;
+    Ok(name)
 }
 
-impl EngineBenchRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("config".into(), Json::Str(self.config.clone())),
-            ("fused".into(), Json::Bool(self.fused)),
-            ("engines".into(), Json::Num(self.engines as f64)),
-            (
-                "batch1_tuples_per_s".into(),
-                Json::Num(self.batch1_tuples_per_s),
+fn check_shape(root: &Json, obj: &Json, shape: &Shape) -> Result<(), String> {
+    for (key, kind) in shape.fields {
+        let v = obj
+            .get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))?;
+        let (ok, what) = match kind {
+            Str => (v.as_str().is_some(), "a string"),
+            Num => (v.as_f64().is_some_and(f64::is_finite), "a finite number"),
+            Count => (
+                v.as_f64().is_some_and(|n| n >= 0.0 && n.fract() == 0.0),
+                "a count",
             ),
-            (
-                "batched_tuples_per_s".into(),
-                Json::Num(self.batched_tuples_per_s),
-            ),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = EngineBenchRow {
-            config: str_field(v, "config")?,
-            fused: field(v, "fused")?
-                .as_bool()
-                .ok_or("field 'fused' is not a bool")?,
-            engines: num_field(v, "engines")? as usize,
-            batch1_tuples_per_s: num_field(v, "batch1_tuples_per_s")?,
-            batched_tuples_per_s: num_field(v, "batched_tuples_per_s")?,
-            speedup: num_field(v, "speedup")?,
-        };
-        if row.engines == 0 {
-            return Err(format!("{}: zero engines", row.config));
-        }
-        if row.batch1_tuples_per_s <= 0.0 || row.batched_tuples_per_s <= 0.0 {
-            return Err(format!("{}: non-positive throughput", row.config));
-        }
-        let expect = row.batched_tuples_per_s / row.batch1_tuples_per_s;
-        if (row.speedup - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "{}: speedup {} inconsistent with medians (expected {expect:.3})",
-                row.config, row.speedup
-            ));
-        }
-        Ok(row)
-    }
-}
-
-impl EngineBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            (
-                "results".into(),
-                Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. This is the CI gate: any
-    /// missing field, wrong type, non-finite number, empty grid, or
-    /// internally inconsistent speedup is an error.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let results_json = field(v, "results")?
-            .as_arr()
-            .ok_or("field 'results' is not an array")?;
-        if results_json.is_empty() {
-            return Err("'results' is empty".to_string());
-        }
-        let results = results_json
-            .iter()
-            .map(EngineBenchRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = EngineBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            tuples: num_field(v, "tuples")? as u64,
-            dim: num_field(v, "dim")? as usize,
-            batch: num_field(v, "batch")? as usize,
-            target: str_field(v, "target")?,
-            // Absent in artifacts recorded before fault injection existed.
-            restarts: match v.get("restarts") {
-                None => 0,
-                Some(_) => num_field(v, "restarts")? as u64,
-            },
-            // Absent in artifacts recorded before PE-level supervision.
-            pe_restarts: match v.get("pe_restarts") {
-                None => 0,
-                Some(_) => num_field(v, "pe_restarts")? as u64,
-            },
-            results,
-        };
-        if report.batch < 2 {
-            return Err("'batch' must be ≥ 2 (the batched column)".to_string());
-        }
-        if report.tuples == 0 {
-            return Err("'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 {
-            return Err(format!(
-                "'restarts' is {} — benchmark artifacts must be recorded fault-free",
-                report.restarts
-            ));
-        }
-        if report.pe_restarts > 0 {
-            return Err(format!(
-                "'pe_restarts' is {} — benchmark artifacts must be recorded fault-free",
-                report.pe_restarts
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One row of the kernel-dispatch benchmark: a (kernel, dimension) cell
-/// timed under the scalar backend and under the dispatched backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchRow {
-    /// Kernel name: `"dot"`, `"axpy"` or `"gemm"`.
-    pub kernel: String,
-    /// Problem dimension (vector length; GEMM row/column count).
-    pub d: usize,
-    /// Median nanoseconds per call on the forced-scalar backend.
-    pub scalar_ns: f64,
-    /// Median nanoseconds per call on the dispatched backend.
-    pub dispatched_ns: f64,
-    /// `scalar_ns / dispatched_ns`.
-    pub speedup: f64,
-}
-
-/// The recorded kernel-dispatch benchmark artifact (`BENCH_kernels.json`).
-///
-/// Distinguished from [`EngineBenchReport`] by the `"schema": "kernels-v1"`
-/// discriminator field, which lets one CI gate validate both artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Backend the dispatcher selected (`"scalar"` on non-AVX2 hosts).
-    pub backend: String,
-    /// Timing repetitions per cell (the median is recorded).
-    pub reps: u64,
-    /// The acceptance target the grid was recorded against.
-    pub target: String,
-    /// One row per (kernel, dimension) cell.
-    pub results: Vec<KernelBenchRow>,
-}
-
-/// Value of the schema discriminator for [`KernelBenchReport`].
-pub const KERNELS_SCHEMA: &str = "kernels-v1";
-
-impl KernelBenchRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("kernel".into(), Json::Str(self.kernel.clone())),
-            ("d".into(), Json::Num(self.d as f64)),
-            ("scalar_ns".into(), Json::Num(self.scalar_ns)),
-            ("dispatched_ns".into(), Json::Num(self.dispatched_ns)),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = KernelBenchRow {
-            kernel: str_field(v, "kernel")?,
-            d: num_field(v, "d")? as usize,
-            scalar_ns: num_field(v, "scalar_ns")?,
-            dispatched_ns: num_field(v, "dispatched_ns")?,
-            speedup: num_field(v, "speedup")?,
-        };
-        if row.d == 0 {
-            return Err(format!("{}: zero dimension", row.kernel));
-        }
-        if row.scalar_ns <= 0.0 || row.dispatched_ns <= 0.0 {
-            return Err(format!("{}@{}: non-positive timing", row.kernel, row.d));
-        }
-        let expect = row.scalar_ns / row.dispatched_ns;
-        if (row.speedup - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "{}@{}: speedup {} inconsistent with medians (expected {expect:.3})",
-                row.kernel, row.d, row.speedup
-            ));
-        }
-        Ok(row)
-    }
-}
-
-impl KernelBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(KERNELS_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("backend".into(), Json::Str(self.backend.clone())),
-            ("reps".into(), Json::Num(self.reps as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            (
-                "results".into(),
-                Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: missing
-    /// fields, wrong types, non-finite or non-positive timings, an
-    /// internally inconsistent speedup, a missing `dot`/`gemm` d=1000 row,
-    /// or (on a SIMD backend) a sub-1.5× speedup on those rows all fail.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(KERNELS_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let results_json = field(v, "results")?
-            .as_arr()
-            .ok_or("field 'results' is not an array")?;
-        if results_json.is_empty() {
-            return Err("'results' is empty".to_string());
-        }
-        let results = results_json
-            .iter()
-            .map(KernelBenchRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = KernelBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            backend: str_field(v, "backend")?,
-            reps: num_field(v, "reps")? as u64,
-            target: str_field(v, "target")?,
-            results,
-        };
-        if report.reps == 0 {
-            return Err("'reps' must be positive".to_string());
-        }
-        for kernel in ["dot", "gemm"] {
-            let row = report
-                .results
-                .iter()
-                .find(|r| r.kernel == kernel && r.d == 1000)
-                .ok_or_else(|| format!("missing required row {kernel}@1000"))?;
-            if report.backend != "scalar" && row.speedup < 1.5 {
-                return Err(format!(
-                    "{kernel}@1000: speedup {:.3} below the 1.5x acceptance floor",
-                    row.speedup
-                ));
+            Bool => (v.as_bool().is_some(), "a bool"),
+            Rows(row) => {
+                let rows = v
+                    .as_arr()
+                    .filter(|rows| !rows.is_empty())
+                    .ok_or_else(|| format!("field '{key}' is not a non-empty array"))?;
+                for (i, r) in rows.iter().enumerate() {
+                    check_shape(root, r, row).map_err(|e| format!("{key}[{i}]: {e}"))?;
+                }
+                (true, "")
             }
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One row of the backfill scaling sweep: a cold corpus backfill timed at
-/// a given worker-pool size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackfillScalingRow {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Median cold wall-clock seconds.
-    pub wall_s: f64,
-    /// `wall(1 worker) / wall(workers)`.
-    pub speedup: f64,
-}
-
-/// The recorded partitioned-backfill benchmark artifact
-/// (`BENCH_backfill.json`), discriminated by `"schema": "backfill-v1"`.
-///
-/// Three claims, all CI-gated by [`BackfillBenchReport::from_json`]:
-/// parallel scaling (≥2.5× at 4 workers — waived when the recording host
-/// has fewer than 4 cores, mirroring the kernels-v1 scalar-backend
-/// waiver), warm-store speedup (a full-cache-hit re-run ≥10× faster than
-/// cold), and O(partition) incrementality (adding k partitions recomputes
-/// exactly k).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackfillBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the scaling-floor waiver.
-    pub cores: usize,
-    /// Partitions in the backfill corpus.
-    pub partitions: u64,
-    /// Corpus rows.
-    pub rows: u64,
-    /// Row dimensionality.
-    pub dim: usize,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Engine restarts during recording (must be 0: backfill never runs
-    /// the fault machinery, and a faulted recording is not an artifact).
-    pub restarts: u64,
-    /// PE restarts during recording (must be 0, as above).
-    pub pe_restarts: u64,
-    /// Cold scaling sweep, one row per worker count.
-    pub scaling: Vec<BackfillScalingRow>,
-    /// Median cold wall seconds at the reference worker count.
-    pub cold_wall_s: f64,
-    /// Median warm (full cache hit) wall seconds at the same worker count.
-    pub warm_wall_s: f64,
-    /// `cold_wall_s / warm_wall_s`.
-    pub warm_speedup: f64,
-    /// Store hits observed on the warm run — must equal `partitions`.
-    pub warm_cache_hits: u64,
-    /// Partitions added for the incremental measurement.
-    pub incremental_added: u64,
-    /// Partitions recomputed when they were added — must equal
-    /// `incremental_added`.
-    pub incremental_recomputed: u64,
-}
-
-/// Value of the schema discriminator for [`BackfillBenchReport`].
-pub const BACKFILL_SCHEMA: &str = "backfill-v1";
-
-/// Scaling floor at 4 workers, and the core count below which it is
-/// unmeasurable and therefore waived.
-pub const BACKFILL_SCALING_FLOOR: f64 = 2.5;
-const BACKFILL_SCALING_WORKERS: usize = 4;
-/// Warm re-runs must beat cold runs by at least this factor.
-pub const BACKFILL_WARM_FLOOR: f64 = 10.0;
-
-impl BackfillScalingRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), Json::Num(self.workers as f64)),
-            ("wall_s".into(), Json::Num(self.wall_s)),
-            ("speedup".into(), Json::Num(self.speedup)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let row = BackfillScalingRow {
-            workers: num_field(v, "workers")? as usize,
-            wall_s: num_field(v, "wall_s")?,
-            speedup: num_field(v, "speedup")?,
         };
-        if row.workers == 0 {
-            return Err("scaling row with zero workers".to_string());
+        if !ok {
+            return Err(format!("field '{key}' is not {what}"));
         }
-        if row.wall_s <= 0.0 {
-            return Err(format!("workers={}: non-positive wall time", row.workers));
-        }
-        Ok(row)
     }
+    shape.gates.iter().try_for_each(|g| g.check(root, obj))
 }
 
-impl BackfillBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(BACKFILL_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("partitions".into(), Json::Num(self.partitions as f64)),
-            ("rows".into(), Json::Num(self.rows as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            (
-                "scaling".into(),
-                Json::Arr(self.scaling.iter().map(|r| r.to_json()).collect()),
-            ),
-            ("cold_wall_s".into(), Json::Num(self.cold_wall_s)),
-            ("warm_wall_s".into(), Json::Num(self.warm_wall_s)),
-            ("warm_speedup".into(), Json::Num(self.warm_speedup)),
-            (
-                "warm_cache_hits".into(),
-                Json::Num(self.warm_cache_hits as f64),
-            ),
-            (
-                "incremental_added".into(),
-                Json::Num(self.incremental_added as f64),
-            ),
-            (
-                "incremental_recomputed".into(),
-                Json::Num(self.incremental_recomputed as f64),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top of
-    /// the usual missing-field / type / finiteness checks, `restarts` and
-    /// `pe_restarts` must be 0, `warm_cache_hits` must equal `partitions`
-    /// (a warm recording that recomputed anything was not warm),
-    /// `warm_speedup` must clear the 10× floor and match the recorded wall
-    /// times within 2%, the incremental run must have recomputed exactly
-    /// the partitions it added, and the 4-worker scaling row must clear
-    /// the 2.5× floor — unless the recording host had fewer than 4 cores,
-    /// where physical scaling is unmeasurable and the floor is waived
-    /// (the kernels-v1 scalar-backend precedent).
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(BACKFILL_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let scaling_json = field(v, "scaling")?
-            .as_arr()
-            .ok_or("field 'scaling' is not an array")?;
-        if scaling_json.is_empty() {
-            return Err("'scaling' is empty".to_string());
-        }
-        let scaling = scaling_json
-            .iter()
-            .map(BackfillScalingRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = BackfillBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            partitions: num_field(v, "partitions")? as u64,
-            rows: num_field(v, "rows")? as u64,
-            dim: num_field(v, "dim")? as usize,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            scaling,
-            cold_wall_s: num_field(v, "cold_wall_s")?,
-            warm_wall_s: num_field(v, "warm_wall_s")?,
-            warm_speedup: num_field(v, "warm_speedup")?,
-            warm_cache_hits: num_field(v, "warm_cache_hits")? as u64,
-            incremental_added: num_field(v, "incremental_added")? as u64,
-            incremental_recomputed: num_field(v, "incremental_recomputed")? as u64,
+impl Gate {
+    fn check(&self, root: &Json, obj: &Json) -> Result<(), String> {
+        let num = |field: FieldRef| -> Result<f64, String> {
+            resolve(root, obj, field)?
+                .as_f64()
+                .ok_or_else(|| format!("field '{field}' is not a number"))
         };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.partitions == 0 {
-            return Err("'partitions' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.warm_cache_hits != report.partitions {
-            return Err(format!(
-                "warm run hit the store {} times for {} partitions — not a warm recording",
-                report.warm_cache_hits, report.partitions
-            ));
-        }
-        if report.cold_wall_s <= 0.0 || report.warm_wall_s <= 0.0 {
-            return Err("non-positive cold/warm wall time".to_string());
-        }
-        let expect_warm = report.cold_wall_s / report.warm_wall_s;
-        if (report.warm_speedup - expect_warm).abs() > 0.02 * expect_warm {
-            return Err(format!(
-                "warm_speedup {} inconsistent with walls (expected {expect_warm:.3})",
-                report.warm_speedup
-            ));
-        }
-        if report.warm_speedup < BACKFILL_WARM_FLOOR {
-            return Err(format!(
-                "warm_speedup {:.2} below the {BACKFILL_WARM_FLOOR}x acceptance floor",
-                report.warm_speedup
-            ));
-        }
-        if report.incremental_added == 0 {
-            return Err("'incremental_added' must be positive".to_string());
-        }
-        if report.incremental_recomputed != report.incremental_added {
-            return Err(format!(
-                "adding {} partition(s) recomputed {} — incrementality is O(partition), \
-                 recomputed must equal added",
-                report.incremental_added, report.incremental_recomputed
-            ));
-        }
-        let base = report
-            .scaling
-            .iter()
-            .find(|r| r.workers == 1)
-            .ok_or("missing required scaling row at 1 worker")?;
-        for row in &report.scaling {
-            let expect = base.wall_s / row.wall_s;
-            if (row.speedup - expect).abs() > 0.02 * expect.abs() {
-                return Err(format!(
-                    "workers={}: speedup {} inconsistent with walls (expected {expect:.3})",
-                    row.workers, row.speedup
-                ));
+        let waived = |waiver: &Option<Waiver>| -> Result<bool, String> {
+            Ok(match waiver {
+                None => false,
+                Some(Below(field, x)) => num(field)? < *x,
+                Some(Is(field, s)) => resolve(root, obj, field)?.as_str() == Some(*s),
+            })
+        };
+        let unless = |waiver: &Option<Waiver>| {
+            waiver
+                .as_ref()
+                .map_or(String::new(), |w| format!(", unless {w}"))
+        };
+        match self {
+            Positive(fields) => {
+                for field in *fields {
+                    let v = num(field)?;
+                    if v <= 0.0 {
+                        return Err(format!("'{field}' is {v}; it must be positive"));
+                    }
+                }
             }
-        }
-        let four = report
-            .scaling
-            .iter()
-            .find(|r| r.workers == BACKFILL_SCALING_WORKERS)
-            .ok_or("missing required scaling row at 4 workers")?;
-        if report.cores >= BACKFILL_SCALING_WORKERS && four.speedup < BACKFILL_SCALING_FLOOR {
-            return Err(format!(
-                "4-worker speedup {:.3} below the {BACKFILL_SCALING_FLOOR}x acceptance floor \
-                 on a {}-core host",
-                four.speedup, report.cores
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// The recorded always-on-serving benchmark artifact
-/// (`BENCH_serving.json`), discriminated by `"schema": "serving-v1"`.
-///
-/// Three claims, all CI-gated by [`ServingBenchReport::from_json`]: the
-/// server sustains the recorded QPS with sane latency quantiles
-/// (p50 ≤ p99 ≤ p999), the recording ran fault-free (restarts and PE
-/// restarts both zero), and serving costs the ingest path at most 10%
-/// throughput (`ingest_ratio ≥ 0.9` — waived when the recording host has
-/// fewer than 4 cores, where the query clients and the engines fight for
-/// the same cores and the degradation measures the scheduler, not the
-/// serving design; the backfill-v1 scaling-floor precedent).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the ingest-ratio waiver.
-    pub cores: usize,
-    /// Row dimensionality of the served eigensystem.
-    pub dim: usize,
-    /// Tuples ingested per measured run.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts during recording (must be 0).
-    pub restarts: u64,
-    /// Whole-PE restarts during recording (must be 0).
-    pub pe_restarts: u64,
-    /// Concurrent query clients driving load.
-    pub clients: usize,
-    /// Total queries answered during the measured window.
-    pub requests: u64,
-    /// Sustained queries per second over the measured window.
-    pub qps: f64,
-    /// Median query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile query latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile query latency, microseconds.
-    pub p999_us: f64,
-    /// Ingest throughput with serving disabled (tuples/s).
-    pub baseline_tuples_per_s: f64,
-    /// Ingest throughput under full query load (tuples/s).
-    pub serving_tuples_per_s: f64,
-    /// `serving_tuples_per_s / baseline_tuples_per_s`.
-    pub ingest_ratio: f64,
-}
-
-/// Value of the schema discriminator for [`ServingBenchReport`].
-pub const SERVING_SCHEMA: &str = "serving-v1";
-
-/// Serving may cost the ingest path at most this fraction of its
-/// no-serving throughput, and the core count below which the floor is
-/// unmeasurable and therefore waived.
-pub const SERVING_INGEST_FLOOR: f64 = 0.9;
-const SERVING_MIN_CORES: usize = 4;
-
-impl ServingBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SERVING_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            ("clients".into(), Json::Num(self.clients as f64)),
-            ("requests".into(), Json::Num(self.requests as f64)),
-            ("qps".into(), Json::Num(self.qps)),
-            ("p50_us".into(), Json::Num(self.p50_us)),
-            ("p99_us".into(), Json::Num(self.p99_us)),
-            ("p999_us".into(), Json::Num(self.p999_us)),
-            (
-                "baseline_tuples_per_s".into(),
-                Json::Num(self.baseline_tuples_per_s),
-            ),
-            (
-                "serving_tuples_per_s".into(),
-                Json::Num(self.serving_tuples_per_s),
-            ),
-            ("ingest_ratio".into(), Json::Num(self.ingest_ratio)),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top
-    /// of the usual missing-field / type / finiteness checks, `restarts`
-    /// and `pe_restarts` must be 0, latency quantiles must be positive
-    /// and monotone (p50 ≤ p99 ≤ p999), `qps` must agree with
-    /// `requests / (tuples-window)`-free recording to the extent the
-    /// artifact can express (positive and finite), `ingest_ratio` must
-    /// match the recorded throughputs within 2%, and the ratio must
-    /// clear the 0.9× floor — unless the recording host had fewer than
-    /// 4 cores, where the floor is waived.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(SERVING_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = ServingBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            clients: num_field(v, "clients")? as usize,
-            requests: num_field(v, "requests")? as u64,
-            qps: num_field(v, "qps")?,
-            p50_us: num_field(v, "p50_us")?,
-            p99_us: num_field(v, "p99_us")?,
-            p999_us: num_field(v, "p999_us")?,
-            baseline_tuples_per_s: num_field(v, "baseline_tuples_per_s")?,
-            serving_tuples_per_s: num_field(v, "serving_tuples_per_s")?,
-            ingest_ratio: num_field(v, "ingest_ratio")?,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.tuples == 0 {
-            return Err("'dim' and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.clients == 0 || report.requests == 0 {
-            return Err("'clients' and 'requests' must be positive".to_string());
-        }
-        if report.qps <= 0.0 {
-            return Err("'qps' must be positive".to_string());
-        }
-        if report.p50_us <= 0.0 {
-            return Err("'p50_us' must be positive".to_string());
-        }
-        if report.p50_us > report.p99_us || report.p99_us > report.p999_us {
-            return Err(format!(
-                "latency quantiles must be monotone: p50 {} / p99 {} / p999 {}",
-                report.p50_us, report.p99_us, report.p999_us
-            ));
-        }
-        if report.baseline_tuples_per_s <= 0.0 || report.serving_tuples_per_s <= 0.0 {
-            return Err("ingest throughputs must be positive".to_string());
-        }
-        let expect = report.serving_tuples_per_s / report.baseline_tuples_per_s;
-        if (report.ingest_ratio - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "ingest_ratio {} inconsistent with throughputs (expected {expect:.3})",
-                report.ingest_ratio
-            ));
-        }
-        if report.cores >= SERVING_MIN_CORES && report.ingest_ratio < SERVING_INGEST_FLOOR {
-            return Err(format!(
-                "ingest_ratio {:.3} below the {SERVING_INGEST_FLOOR} acceptance floor \
-                 on a {}-core host — serving must not cost ingest more than 10%",
-                report.ingest_ratio, report.cores
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// The recorded wire-transport benchmark artifact (`BENCH_net.json`),
-/// discriminated by `"schema": "net-v1"`.
-///
-/// Three claims, all CI-gated by [`NetBenchReport::from_json`]: the
-/// columnar frame codec beats the CSV text path it replaced by at least
-/// 5× round-trip at d = 1000 with zero steady-state allocations, the
-/// real 2-process loopback run holds at least 0.5× of the in-process
-/// single-address-space throughput (waived below 4 cores, where the two
-/// processes time-slice one core and the ratio measures the scheduler),
-/// and the recording ran fault-free (no restarts, no respawns). The
-/// measured per-message overhead is the calibration constant for the
-/// cluster cost model's modeled network delay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the distributed-ratio waiver.
-    pub cores: usize,
-    /// Observation dimensionality of the codec microbenchmark.
-    pub dim: usize,
-    /// Tuples per encoded frame.
-    pub batch: usize,
-    /// Tuples pushed through the codec per measured repetition.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts plus worker respawns during the distributed
-    /// recording (must be 0 — artifacts are recorded fault-free).
-    pub restarts: u64,
-    /// Codec encode throughput over wire bytes, GB/s.
-    pub codec_encode_gbps: f64,
-    /// Codec decode throughput over wire bytes, GB/s.
-    pub codec_decode_gbps: f64,
-    /// Encode + decode round trips, tuples/s.
-    pub codec_roundtrip_tuples_per_s: f64,
-    /// CSV format + parse round trips of the same observations, tuples/s.
-    pub csv_roundtrip_tuples_per_s: f64,
-    /// `codec_roundtrip_tuples_per_s / csv_roundtrip_tuples_per_s`.
-    pub codec_vs_csv: f64,
-    /// Heap allocations during the measured codec stretch (must be 0).
-    pub codec_steady_allocs: u64,
-    /// Encoded frame size per tuple, bytes — the wire footprint.
-    pub frame_bytes_per_tuple: f64,
-    /// In-process baseline (`--workers 0`) ingest throughput, tuples/s.
-    pub local_tuples_per_s: f64,
-    /// 2-process loopback distributed ingest throughput, tuples/s.
-    pub dist_tuples_per_s: f64,
-    /// `dist_tuples_per_s / local_tuples_per_s`.
-    pub dist_ratio: f64,
-    /// Measured per-message overhead on loopback TCP (half the round
-    /// trip of a frame-sized message), microseconds. Calibrates the
-    /// cluster cost model's `network_delay_us`.
-    pub per_message_overhead_us: f64,
-}
-
-/// Value of the schema discriminator for [`NetBenchReport`].
-pub const NET_SCHEMA: &str = "net-v1";
-
-/// The codec must beat the CSV path it replaced by at least this factor
-/// round-trip at the recorded dimensionality.
-pub const NET_CODEC_FLOOR: f64 = 5.0;
-
-/// The 2-process loopback run must hold this fraction of in-process
-/// throughput, and the core count below which the floor is unmeasurable
-/// (two processes on one core measure time-slicing) and therefore waived.
-pub const NET_DIST_FLOOR: f64 = 0.5;
-const NET_MIN_CORES: usize = 4;
-
-impl NetBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(NET_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            (
-                "codec_encode_gbps".into(),
-                Json::Num(self.codec_encode_gbps),
-            ),
-            (
-                "codec_decode_gbps".into(),
-                Json::Num(self.codec_decode_gbps),
-            ),
-            (
-                "codec_roundtrip_tuples_per_s".into(),
-                Json::Num(self.codec_roundtrip_tuples_per_s),
-            ),
-            (
-                "csv_roundtrip_tuples_per_s".into(),
-                Json::Num(self.csv_roundtrip_tuples_per_s),
-            ),
-            ("codec_vs_csv".into(), Json::Num(self.codec_vs_csv)),
-            (
-                "codec_steady_allocs".into(),
-                Json::Num(self.codec_steady_allocs as f64),
-            ),
-            (
-                "frame_bytes_per_tuple".into(),
-                Json::Num(self.frame_bytes_per_tuple),
-            ),
-            (
-                "local_tuples_per_s".into(),
-                Json::Num(self.local_tuples_per_s),
-            ),
-            (
-                "dist_tuples_per_s".into(),
-                Json::Num(self.dist_tuples_per_s),
-            ),
-            ("dist_ratio".into(), Json::Num(self.dist_ratio)),
-            (
-                "per_message_overhead_us".into(),
-                Json::Num(self.per_message_overhead_us),
-            ),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: on top
-    /// of the usual missing-field / type / finiteness checks, the derived
-    /// ratios must agree with their numerators and denominators within
-    /// 2%, `codec_vs_csv` must clear the 5× floor, `codec_steady_allocs`
-    /// and `restarts` must be 0, and `dist_ratio` must clear the 0.5×
-    /// floor unless the recording host had fewer than 4 cores.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(NET_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = NetBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            batch: num_field(v, "batch")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            codec_encode_gbps: num_field(v, "codec_encode_gbps")?,
-            codec_decode_gbps: num_field(v, "codec_decode_gbps")?,
-            codec_roundtrip_tuples_per_s: num_field(v, "codec_roundtrip_tuples_per_s")?,
-            csv_roundtrip_tuples_per_s: num_field(v, "csv_roundtrip_tuples_per_s")?,
-            codec_vs_csv: num_field(v, "codec_vs_csv")?,
-            codec_steady_allocs: num_field(v, "codec_steady_allocs")? as u64,
-            frame_bytes_per_tuple: num_field(v, "frame_bytes_per_tuple")?,
-            local_tuples_per_s: num_field(v, "local_tuples_per_s")?,
-            dist_tuples_per_s: num_field(v, "dist_tuples_per_s")?,
-            dist_ratio: num_field(v, "dist_ratio")?,
-            per_message_overhead_us: num_field(v, "per_message_overhead_us")?,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.batch == 0 || report.tuples == 0 {
-            return Err("'dim', 'batch', and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 {
-            return Err(format!(
-                "restarts {} — benchmark artifacts must be recorded fault-free",
-                report.restarts
-            ));
-        }
-        for (name, x) in [
-            ("codec_encode_gbps", report.codec_encode_gbps),
-            ("codec_decode_gbps", report.codec_decode_gbps),
-            (
-                "codec_roundtrip_tuples_per_s",
-                report.codec_roundtrip_tuples_per_s,
-            ),
-            (
-                "csv_roundtrip_tuples_per_s",
-                report.csv_roundtrip_tuples_per_s,
-            ),
-            ("frame_bytes_per_tuple", report.frame_bytes_per_tuple),
-            ("local_tuples_per_s", report.local_tuples_per_s),
-            ("dist_tuples_per_s", report.dist_tuples_per_s),
-            ("per_message_overhead_us", report.per_message_overhead_us),
-        ] {
-            if x <= 0.0 {
-                return Err(format!("'{name}' must be positive"));
+            Zero(fields) => {
+                for field in *fields {
+                    let v = num(field)?;
+                    if v != 0.0 {
+                        return Err(format!(
+                            "'{field}' is {v}; a benchmark recording must have it 0"
+                        ));
+                    }
+                }
             }
-        }
-        let expect = report.codec_roundtrip_tuples_per_s / report.csv_roundtrip_tuples_per_s;
-        if (report.codec_vs_csv - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "codec_vs_csv {} inconsistent with the recorded rates (expected {expect:.3})",
-                report.codec_vs_csv
-            ));
-        }
-        if report.codec_vs_csv < NET_CODEC_FLOOR {
-            return Err(format!(
-                "codec_vs_csv {:.2} below the {NET_CODEC_FLOOR}x acceptance floor at d = {}",
-                report.codec_vs_csv, report.dim
-            ));
-        }
-        if report.codec_steady_allocs > 0 {
-            return Err(format!(
-                "codec_steady_allocs {} — the codec hot path must not allocate in steady state",
-                report.codec_steady_allocs
-            ));
-        }
-        let expect = report.dist_tuples_per_s / report.local_tuples_per_s;
-        if (report.dist_ratio - expect).abs() > 0.02 * expect {
-            return Err(format!(
-                "dist_ratio {} inconsistent with the recorded throughputs (expected {expect:.3})",
-                report.dist_ratio
-            ));
-        }
-        if report.cores >= NET_MIN_CORES && report.dist_ratio < NET_DIST_FLOOR {
-            return Err(format!(
-                "dist_ratio {:.3} below the {NET_DIST_FLOOR}x acceptance floor on a {}-core \
-                 host — the wire transport must not halve throughput on loopback",
-                report.dist_ratio, report.cores
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-/// The recorded elastic-rescale benchmark (`BENCH_elastic.json`). The
-/// gates encode the autoscaling acceptance bar: a run that scales out
-/// and back in mid-stream must lose zero tuples, must stay fault-free
-/// (no restarts, no PE restarts — rescales are not failures), and the
-/// final merged eigensystem must agree with a fixed-fleet reference over
-/// the same observations within the documented subspace tolerance.
-/// Rescale latency (bootstrap + admission for scale-out, drain + merge
-/// for scale-in) is gated below a generous ceiling — waived when the
-/// recording host has fewer than 4 cores, where every thread time-slices
-/// and the latency measures the scheduler, not the migration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticBenchReport {
-    /// What was measured and how.
-    pub benchmark: String,
-    /// Machine / build caveats for reproducing the numbers.
-    pub machine_note: String,
-    /// Cores available on the recording host (`available_parallelism`);
-    /// governs the rescale-latency waiver.
-    pub cores: usize,
-    /// Observation dimensionality.
-    pub dim: usize,
-    /// Total tuples streamed through the elastic run.
-    pub tuples: u64,
-    /// The acceptance target the artifact was recorded against.
-    pub target: String,
-    /// Operator restarts during the recording (must be 0 — a rescale is
-    /// not a failure and must not be absorbed by the restart machinery).
-    pub restarts: u64,
-    /// Whole-PE restarts during the recording (must be 0).
-    pub pe_restarts: u64,
-    /// Engines admitted across the run (from the run report; ≥ 1).
-    pub scale_outs: u64,
-    /// Engines retired across the run (from the run report; ≥ 1).
-    pub scale_ins: u64,
-    /// `source tuples_out − Σ pca tuples_in` (must be 0).
-    pub tuple_loss: u64,
-    /// Wall-clock of the scale-out migration: checkpoint-format
-    /// bootstrap + membership flip, milliseconds.
-    pub scale_out_latency_ms: f64,
-    /// Wall-clock of the scale-in migration: membership flip + drain +
-    /// final merge, milliseconds.
-    pub scale_in_latency_ms: f64,
-    /// Subspace distance between the elastic run's merged eigensystem
-    /// and the fixed-fleet reference over the same observations.
-    pub consistency: f64,
-    /// Provisioned engine ceiling of the elastic run.
-    pub max_engines: usize,
-    /// Active fleet size when the stream ended.
-    pub final_engines: usize,
-}
-
-/// Value of the schema discriminator for [`ElasticBenchReport`].
-pub const ELASTIC_SCHEMA: &str = "elastic-v1";
-
-/// Documented consistency bound: the elastic run and its fixed-fleet
-/// reference must agree to this subspace distance (mirrors
-/// `crates/engine/tests/elastic.rs`).
-pub const ELASTIC_CONSISTENCY_TOL: f64 = 0.25;
-
-/// A single rescale (bootstrap or drain + merge, excluding stream time)
-/// must complete within this many milliseconds on a multi-core host.
-pub const ELASTIC_LATENCY_CEILING_MS: f64 = 1_000.0;
-const ELASTIC_MIN_CORES: usize = 4;
-
-impl ElasticBenchReport {
-    /// Serializes to the committed artifact layout.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(ELASTIC_SCHEMA.into())),
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("machine_note".into(), Json::Str(self.machine_note.clone())),
-            ("cores".into(), Json::Num(self.cores as f64)),
-            ("dim".into(), Json::Num(self.dim as f64)),
-            ("tuples".into(), Json::Num(self.tuples as f64)),
-            ("target".into(), Json::Str(self.target.clone())),
-            ("restarts".into(), Json::Num(self.restarts as f64)),
-            ("pe_restarts".into(), Json::Num(self.pe_restarts as f64)),
-            ("scale_outs".into(), Json::Num(self.scale_outs as f64)),
-            ("scale_ins".into(), Json::Num(self.scale_ins as f64)),
-            ("tuple_loss".into(), Json::Num(self.tuple_loss as f64)),
-            (
-                "scale_out_latency_ms".into(),
-                Json::Num(self.scale_out_latency_ms),
-            ),
-            (
-                "scale_in_latency_ms".into(),
-                Json::Num(self.scale_in_latency_ms),
-            ),
-            ("consistency".into(), Json::Num(self.consistency)),
-            ("max_engines".into(), Json::Num(self.max_engines as f64)),
-            ("final_engines".into(), Json::Num(self.final_engines as f64)),
-        ])
-    }
-
-    /// Parses and schema-checks an artifact. CI-gate strictness: a
-    /// recorded elastic run must contain at least one scale-out and one
-    /// scale-in, zero tuple loss, zero restarts of either kind, a
-    /// consistency distance within [`ELASTIC_CONSISTENCY_TOL`], a final
-    /// fleet within `1..=max_engines`, and rescale latencies under
-    /// [`ELASTIC_LATENCY_CEILING_MS`] unless the recording host had
-    /// fewer than 4 cores.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        match field(v, "schema")?.as_str() {
-            Some(ELASTIC_SCHEMA) => {}
-            other => return Err(format!("unexpected schema {other:?}")),
-        }
-        let report = ElasticBenchReport {
-            benchmark: str_field(v, "benchmark")?,
-            machine_note: str_field(v, "machine_note")?,
-            cores: num_field(v, "cores")? as usize,
-            dim: num_field(v, "dim")? as usize,
-            tuples: num_field(v, "tuples")? as u64,
-            target: str_field(v, "target")?,
-            restarts: num_field(v, "restarts")? as u64,
-            pe_restarts: num_field(v, "pe_restarts")? as u64,
-            scale_outs: num_field(v, "scale_outs")? as u64,
-            scale_ins: num_field(v, "scale_ins")? as u64,
-            tuple_loss: num_field(v, "tuple_loss")? as u64,
-            scale_out_latency_ms: num_field(v, "scale_out_latency_ms")?,
-            scale_in_latency_ms: num_field(v, "scale_in_latency_ms")?,
-            consistency: num_field(v, "consistency")?,
-            max_engines: num_field(v, "max_engines")? as usize,
-            final_engines: num_field(v, "final_engines")? as usize,
-        };
-        if report.cores == 0 {
-            return Err("'cores' must be positive".to_string());
-        }
-        if report.dim == 0 || report.tuples == 0 {
-            return Err("'dim' and 'tuples' must be positive".to_string());
-        }
-        if report.restarts > 0 || report.pe_restarts > 0 {
-            return Err(format!(
-                "restarts {} / pe_restarts {} — a rescale is not a failure; elastic artifacts \
-                 must be recorded fault-free",
-                report.restarts, report.pe_restarts
-            ));
-        }
-        if report.scale_outs == 0 || report.scale_ins == 0 {
-            return Err(format!(
-                "scale_outs {} / scale_ins {} — the recorded run must contain at least one \
-                 rescale in each direction",
-                report.scale_outs, report.scale_ins
-            ));
-        }
-        if report.tuple_loss > 0 {
-            return Err(format!(
-                "tuple_loss {} — rescales must conserve every tuple",
-                report.tuple_loss
-            ));
-        }
-        for (name, x) in [
-            ("scale_out_latency_ms", report.scale_out_latency_ms),
-            ("scale_in_latency_ms", report.scale_in_latency_ms),
-        ] {
-            if !x.is_finite() || x <= 0.0 {
-                return Err(format!("'{name}' must be positive and finite"));
-            }
-        }
-        if !report.consistency.is_finite() || report.consistency < 0.0 {
-            return Err("'consistency' must be a finite non-negative distance".to_string());
-        }
-        if report.consistency > ELASTIC_CONSISTENCY_TOL {
-            return Err(format!(
-                "consistency {:.4} above the {ELASTIC_CONSISTENCY_TOL} subspace tolerance — the \
-                 elastic run diverged from its fixed-fleet reference",
-                report.consistency
-            ));
-        }
-        if report.max_engines == 0
-            || report.final_engines == 0
-            || report.final_engines > report.max_engines
-        {
-            return Err(format!(
-                "final_engines {} outside 1..=max_engines ({})",
-                report.final_engines, report.max_engines
-            ));
-        }
-        if report.cores >= ELASTIC_MIN_CORES {
-            for (name, x) in [
-                ("scale_out_latency_ms", report.scale_out_latency_ms),
-                ("scale_in_latency_ms", report.scale_in_latency_ms),
-            ] {
-                if x > ELASTIC_LATENCY_CEILING_MS {
+            Ratio(field, numerator, denominator) => {
+                let v = num(field)?;
+                let expect = num(numerator)? / num(denominator)?;
+                if !expect.is_finite() || (v - expect).abs() > RATIO_TOLERANCE * expect.abs() {
                     return Err(format!(
-                        "{name} {x:.1} above the {ELASTIC_LATENCY_CEILING_MS} ms ceiling on a \
-                         {}-core host",
-                        report.cores
+                        "'{field}' is {v}, inconsistent with {numerator} / {denominator} = \
+                         {expect:.3}"
                     ));
                 }
             }
+            Floor(field, floor, waiver) => {
+                if !waived(waiver)? {
+                    let v = num(field)?;
+                    if v < *floor {
+                        return Err(format!(
+                            "'{field}' is {v}, below its floor {floor}{}",
+                            unless(waiver)
+                        ));
+                    }
+                }
+            }
+            Ceiling(field, ceiling, waiver) => {
+                if !waived(waiver)? {
+                    let v = num(field)?;
+                    if v > *ceiling {
+                        return Err(format!(
+                            "'{field}' is {v}, above its ceiling {ceiling}{}",
+                            unless(waiver)
+                        ));
+                    }
+                }
+            }
+            Ascending(fields) => {
+                for pair in fields.windows(2) {
+                    let (a, b) = (num(pair[0])?, num(pair[1])?);
+                    if a > b {
+                        return Err(format!(
+                            "'{}' is {a}, above '{}' = {b}; {} must ascend",
+                            pair[0],
+                            pair[1],
+                            fields.join(" <= ")
+                        ));
+                    }
+                }
+            }
+            Equal(a, b) => {
+                let (x, y) = (num(a)?, num(b)?);
+                if x != y {
+                    return Err(format!("'{a}' is {x} but '{b}' is {y}; they must be equal"));
+                }
+            }
+            Row(selector) => {
+                find_row(root, selector)?;
+            }
         }
-        Ok(report)
+        Ok(())
     }
+}
 
-    /// Round-trips a report through text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::from_json(&Json::parse(text)?)
+/// Looks up `field` in `obj`, or a `rows[...].field` reference in the
+/// matching row of `root`.
+fn resolve<'a>(root: &'a Json, obj: &'a Json, field: FieldRef) -> Result<&'a Json, String> {
+    let (within, key) = match field.find("].") {
+        Some(end) => (find_row(root, &field[..=end])?, &field[end + 2..]),
+        None => (obj, field),
+    };
+    within
+        .get(key)
+        .ok_or_else(|| format!("missing field '{field}'"))
+}
+
+/// The row of `root` that a `rows[key=value,...]` selector picks out.
+fn find_row<'a>(root: &'a Json, selector: &str) -> Result<&'a Json, String> {
+    let malformed = || panic!("malformed row selector '{selector}' in the schema table");
+    let (rows, keys) = selector
+        .strip_suffix(']')
+        .and_then(|s| s.split_once('['))
+        .unwrap_or_else(malformed);
+    let matches = |row: &Json| {
+        keys.split(',').all(|pair| {
+            let (key, want) = pair.split_once('=').unwrap_or_else(malformed);
+            match row.get(key) {
+                Some(Json::Str(s)) => s == want,
+                Some(Json::Num(n)) => want.parse() == Ok(*n),
+                _ => false,
+            }
+        })
+    };
+    root.get(rows)
+        .and_then(Json::as_arr)
+        .and_then(|rows| rows.iter().find(|r| matches(r)))
+        .ok_or_else(|| format!("missing required row {selector}"))
+}
+
+/// Runs `artifact` through [`check`], then writes it to `path`: a
+/// recording that would fail CI aborts here instead of landing.
+pub fn write_artifact(path: &str, artifact: &Json) {
+    if let Err(e) = check(artifact) {
+        panic!("{path}: the recording fails its own gates: {e}");
     }
+    std::fs::write(path, format!("{artifact}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// The recorded artifacts in `dir`: every `BENCH_*.json`, sorted.
+pub fn artifacts_in(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ENGINE: &str = r#"{"schema": "engine-v1", "benchmark": "engine transport",
+        "machine_note": "test", "tuples": 3000, "dim": 64, "batch": 64, "target": "1.5x",
+        "restarts": 0, "pe_restarts": 0, "results": [{"config": "unfused-2", "fused": false,
+        "engines": 2, "batch1_tuples_per_s": 1000, "batched_tuples_per_s": 2000,
+        "speedup": 2}]}"#;
+
+    const HOTPATH: &str = r#"{"schema": "hotpath-v1", "benchmark": "update_cost",
+        "machine_note": "test", "change": "workspaces", "target": ">= 1.5x at d = 1000",
+        "results": [
+          {"dim": 250, "before_median_ns": 2000, "after_median_ns": 1000, "speedup": 2.0},
+          {"dim": 1000, "before_median_ns": 3000, "after_median_ns": 1000, "speedup": 3.0}],
+        "allocation_guard": "alloc_count.rs"}"#;
+
+    const KERNELS: &str = r#"{"schema": "kernels-v1", "benchmark": "kernel dispatch",
+        "machine_note": "test", "backend": "avx2_fma", "reps": 25,
+        "target": ">=1.5x on dot and gemm at d=1000", "results": [
+          {"kernel": "dot", "d": 256, "scalar_ns": 100, "dispatched_ns": 40, "speedup": 2.5},
+          {"kernel": "dot", "d": 1000, "scalar_ns": 400, "dispatched_ns": 150,
+           "speedup": 2.667},
+          {"kernel": "gemm", "d": 1000, "scalar_ns": 9000, "dispatched_ns": 3000,
+           "speedup": 3.0}]}"#;
+
+    const BACKFILL: &str = r#"{"schema": "backfill-v1", "benchmark": "partitioned backfill",
+        "machine_note": "test", "cores": 8, "partitions": 8, "rows": 6000, "dim": 64,
+        "target": ">=2.5x at 4 workers; warm >=10x; +1 partition recomputes 1",
+        "restarts": 0, "pe_restarts": 0, "scaling": [
+          {"workers": 1, "wall_s": 8.0, "speedup": 1.0},
+          {"workers": 2, "wall_s": 4.2, "speedup": 1.905},
+          {"workers": 4, "wall_s": 2.5, "speedup": 3.2},
+          {"workers": 8, "wall_s": 1.6, "speedup": 5.0}],
+        "cold_wall_s": 2.5, "warm_wall_s": 0.05, "warm_speedup": 50.0,
+        "warm_cache_hits": 8, "incremental_added": 1, "incremental_recomputed": 1}"#;
+
+    const SERVING: &str = r#"{"schema": "serving-v1",
+        "benchmark": "always-on eigensystem serving", "machine_note": "test", "cores": 8,
+        "dim": 64, "tuples": 200000, "target": "ingest ratio >= 0.9 under full query load",
+        "restarts": 0, "pe_restarts": 0, "clients": 4, "requests": 120000, "qps": 24000,
+        "p50_us": 80, "p99_us": 400, "p999_us": 1500, "baseline_tuples_per_s": 100000,
+        "serving_tuples_per_s": 95000, "ingest_ratio": 0.95}"#;
+
+    const NET: &str = r#"{"schema": "net-v1", "benchmark": "wire transport",
+        "machine_note": "test", "cores": 8, "dim": 1000, "batch": 64, "tuples": 6400,
+        "target": "codec >= 5x CSV, dist >= 0.5x local", "restarts": 0,
+        "codec_encode_gbps": 4.0, "codec_decode_gbps": 6.0,
+        "codec_roundtrip_tuples_per_s": 400000, "csv_roundtrip_tuples_per_s": 40000,
+        "codec_vs_csv": 10.0, "codec_steady_allocs": 0, "frame_bytes_per_tuple": 8030,
+        "local_tuples_per_s": 60000, "dist_tuples_per_s": 45000, "dist_ratio": 0.75,
+        "per_message_overhead_us": 40.0}"#;
+
+    const ELASTIC: &str = r#"{"schema": "elastic-v1", "benchmark": "elastic rescale",
+        "machine_note": "test", "cores": 8, "dim": 32, "tuples": 200000,
+        "target": "zero loss, consistency <= 0.25", "restarts": 0, "pe_restarts": 0,
+        "scale_outs": 1, "scale_ins": 1, "tuple_loss": 0, "scale_out_latency_ms": 12.5,
+        "scale_in_latency_ms": 40.0, "consistency": 0.03, "max_engines": 3,
+        "final_engines": 1}"#;
+
+    /// `sample` with each `(from, to)` edit applied; each `from` must occur
+    /// exactly once, so an edit cannot silently miss.
+    fn edit(sample: &str, edits: &[(&str, &str)]) -> String {
+        let mut text = sample.to_string();
+        for (from, to) in edits {
+            assert_eq!(text.matches(from).count(), 1, "{from:?} must occur once");
+            text = text.replacen(from, to, 1);
+        }
+        text
+    }
+
+    fn passes(text: &str) -> bool {
+        check(&Json::parse(text).unwrap()).is_ok()
+    }
+
+    fn rejection(text: &str) -> String {
+        check(&Json::parse(text).unwrap()).unwrap_err()
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -1583,503 +1117,478 @@ mod tests {
         }
     }
 
-    fn sample_report() -> EngineBenchReport {
-        EngineBenchReport {
-            benchmark: "engine transport".into(),
-            machine_note: "test".into(),
-            tuples: 3000,
-            dim: 64,
-            batch: 64,
-            target: "1.5x".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            results: vec![EngineBenchRow {
-                config: "unfused-2".into(),
-                fused: false,
-                engines: 2,
-                batch1_tuples_per_s: 1000.0,
-                batched_tuples_per_s: 2000.0,
-                speedup: 2.0,
-            }],
+    #[test]
+    fn samples_pass_and_round_trip_through_text() {
+        for sample in [ENGINE, HOTPATH, KERNELS, BACKFILL, SERVING, NET, ELASTIC] {
+            let v = Json::parse(sample).unwrap();
+            check(&v).unwrap_or_else(|e| panic!("{e}: {sample}"));
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        }
+        // Every schema in the table has a sample above.
+        assert_eq!(SCHEMAS.len(), 7);
+    }
+
+    #[test]
+    fn committed_artifacts_pass_their_gates() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let paths = artifacts_in(&root).unwrap();
+        assert_eq!(paths.len(), SCHEMAS.len(), "{paths:?}");
+        for path in paths {
+            let text = std::fs::read_to_string(&path).unwrap();
+            if let Err(e) = check(&Json::parse(&text).unwrap()) {
+                panic!("{}: {e}", path.display());
+            }
         }
     }
 
     #[test]
-    fn report_round_trips() {
-        let report = sample_report();
-        let text = report.to_json().to_string();
-        let back = EngineBenchReport::parse(&text).unwrap();
-        assert_eq!(back, report);
+    fn artifact_without_schema_is_rejected() {
+        let err = rejection(&edit(ENGINE, &[(r#""schema": "engine-v1", "#, "")]));
+        assert!(err.contains("missing field 'schema'"), "{err}");
+        let err = rejection(&edit(HOTPATH, &[(r#""schema": "hotpath-v1", "#, "")]));
+        assert!(err.contains("missing field 'schema'"), "{err}");
+        let err = rejection(&edit(ENGINE, &[("engine-v1", "engine-v0")]));
+        assert!(err.contains("unknown schema 'engine-v0'"), "{err}");
     }
 
     #[test]
     fn schema_check_catches_inconsistency() {
-        let mut report = sample_report();
-        report.results[0].speedup = 9.0; // does not match the medians
-        let text = report.to_json().to_string();
-        assert!(EngineBenchReport::parse(&text)
-            .unwrap_err()
-            .contains("inconsistent"));
+        let err = rejection(&edit(ENGINE, &[(r#""speedup": 2}"#, r#""speedup": 9}"#)]));
+        assert!(err.contains("'speedup' is 9, inconsistent"), "{err}");
     }
 
     #[test]
     fn nonzero_restarts_is_rejected() {
-        let mut report = sample_report();
-        report.restarts = 3;
-        let text = report.to_json().to_string();
-        let err = EngineBenchReport::parse(&text).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
+        let err = rejection(&edit(ENGINE, &[(r#""restarts": 0"#, r#""restarts": 3"#)]));
+        assert!(err.contains("'restarts' is 3"), "{err}");
     }
 
     #[test]
     fn nonzero_pe_restarts_is_rejected() {
-        let mut report = sample_report();
-        report.pe_restarts = 1;
-        let text = report.to_json().to_string();
-        let err = EngineBenchReport::parse(&text).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        assert!(err.contains("pe_restarts"), "{err}");
+        let err = rejection(&edit(
+            ENGINE,
+            &[(r#""pe_restarts": 0"#, r#""pe_restarts": 1"#)],
+        ));
+        assert!(err.contains("'pe_restarts' is 1"), "{err}");
     }
 
     #[test]
-    fn missing_restarts_field_defaults_to_zero() {
-        // Back-compat with artifacts recorded before the field existed.
-        let Json::Obj(fields) = sample_report().to_json() else {
-            unreachable!()
-        };
-        let pruned = Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "restarts" && k != "pe_restarts")
-                .collect(),
-        );
-        let back = EngineBenchReport::parse(&pruned.to_string()).unwrap();
-        assert_eq!(back.restarts, 0);
-        assert_eq!(back.pe_restarts, 0);
+    fn missing_restarts_field_is_rejected() {
+        let err = rejection(&edit(ENGINE, &[(r#""restarts": 0, "#, "")]));
+        assert!(err.contains("missing field 'restarts'"), "{err}");
+        let err = rejection(&edit(ENGINE, &[(r#""pe_restarts": 0, "#, "")]));
+        assert!(err.contains("missing field 'pe_restarts'"), "{err}");
     }
 
     #[test]
     fn schema_check_catches_missing_fields() {
-        let err = EngineBenchReport::parse(r#"{"benchmark": "x"}"#).unwrap_err();
-        assert!(err.contains("missing field"), "{err}");
-    }
-
-    fn sample_kernel_report() -> KernelBenchReport {
-        let row = |kernel: &str, d: usize, s: f64, v: f64| KernelBenchRow {
-            kernel: kernel.into(),
-            d,
-            scalar_ns: s,
-            dispatched_ns: v,
-            speedup: s / v,
-        };
-        KernelBenchReport {
-            benchmark: "kernel dispatch".into(),
-            machine_note: "test".into(),
-            backend: "avx2_fma".into(),
-            reps: 25,
-            target: ">=1.5x on dot and gemm at d=1000".into(),
-            results: vec![
-                row("dot", 256, 100.0, 40.0),
-                row("dot", 1000, 400.0, 150.0),
-                row("gemm", 1000, 9000.0, 3000.0),
-            ],
-        }
+        let err = rejection(r#"{"schema": "engine-v1", "benchmark": "x"}"#);
+        assert!(err.contains("missing field 'machine_note'"), "{err}");
     }
 
     #[test]
-    fn kernel_report_round_trips() {
-        let report = sample_kernel_report();
-        let text = report.to_json().to_string();
-        assert_eq!(KernelBenchReport::parse(&text).unwrap(), report);
+    fn hotpath_report_catches_inconsistent_speedup() {
+        let err = rejection(&edit(
+            HOTPATH,
+            &[(r#""speedup": 3.0"#, r#""speedup": 4.0"#)],
+        ));
+        assert!(
+            err.contains("results[1]: 'speedup' is 4, inconsistent"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn hotpath_report_enforces_d1000_floor() {
+        let slow = edit(
+            HOTPATH,
+            &[(
+                r#""after_median_ns": 1000, "speedup": 3.0"#,
+                r#""after_median_ns": 2500, "speedup": 1.2"#,
+            )],
+        );
+        let err = rejection(&slow);
+        assert!(err.contains("'results[dim=1000].speedup' is 1.2, below its floor 1.5"));
+        let err = rejection(&edit(HOTPATH, &[(r#""dim": 1000"#, r#""dim": 999"#)]));
+        assert!(
+            err.contains("missing required row results[dim=1000]"),
+            "{err}"
+        );
     }
 
     #[test]
     fn kernel_report_requires_discriminator() {
-        let Json::Obj(fields) = sample_kernel_report().to_json() else {
-            unreachable!()
-        };
-        let pruned = Json::Obj(fields.into_iter().filter(|(k, _)| k != "schema").collect());
-        let err = KernelBenchReport::parse(&pruned.to_string()).unwrap_err();
+        let err = rejection(&edit(KERNELS, &[(r#""schema": "kernels-v1", "#, "")]));
         assert!(err.contains("schema"), "{err}");
     }
 
     #[test]
     fn kernel_report_requires_d1000_rows() {
-        let mut report = sample_kernel_report();
-        report.results.retain(|r| r.kernel != "gemm");
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("gemm@1000"), "{err}");
+        let err = rejection(&edit(
+            KERNELS,
+            &[(r#""kernel": "gemm""#, r#""kernel": "axpy""#)],
+        ));
+        assert!(
+            err.contains("missing required row results[kernel=gemm,d=1000]"),
+            "{err}"
+        );
+        // Required even where the speedup floor is waived.
+        let scalar = edit(
+            KERNELS,
+            &[
+                (r#""kernel": "gemm""#, r#""kernel": "axpy""#),
+                ("avx2_fma", "scalar"),
+            ],
+        );
+        assert!(rejection(&scalar).contains("missing required row"));
+    }
+
+    #[test]
+    fn fields_must_have_their_kinds() {
+        for (from, to, field) in [
+            (
+                r#""tuples": 3000"#,
+                r#""tuples": -1"#,
+                "'tuples' is not a count",
+            ),
+            (
+                r#""tuples": 3000"#,
+                r#""tuples": 2.5"#,
+                "'tuples' is not a count",
+            ),
+            (r#""dim": 64"#, r#""dim": "64""#, "'dim' is not a count"),
+            (
+                r#""speedup": 2}"#,
+                r#""speedup": 1e999}"#,
+                "'speedup' is not a finite",
+            ),
+            (
+                r#""fused": false"#,
+                r#""fused": 0"#,
+                "'fused' is not a bool",
+            ),
+            (
+                r#""target": "1.5x""#,
+                r#""target": 1.5"#,
+                "'target' is not a string",
+            ),
+        ] {
+            let err = rejection(&edit(ENGINE, &[(from, to)]));
+            assert!(err.contains(field), "{err}");
+        }
+        let empty = format!("{}[]}}", &ENGINE[..ENGINE.find('[').unwrap()]);
+        assert!(rejection(&empty).contains("'results' is not a non-empty array"));
     }
 
     #[test]
     fn kernel_report_enforces_speedup_floor_on_simd_backend() {
-        let mut report = sample_kernel_report();
-        report.results[1].dispatched_ns = 390.0; // 1.03x at dot@1000
-        report.results[1].speedup = 400.0 / 390.0;
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("1.5x"), "{err}");
-        // The same numbers are fine when the host had no SIMD backend.
-        report.backend = "scalar".into();
-        assert!(KernelBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    fn sample_backfill_report() -> BackfillBenchReport {
-        let row = |workers: usize, wall_s: f64| BackfillScalingRow {
-            workers,
-            wall_s,
-            speedup: 8.0 / wall_s,
-        };
-        BackfillBenchReport {
-            benchmark: "partitioned backfill".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            partitions: 8,
-            rows: 6000,
-            dim: 64,
-            target: ">=2.5x at 4 workers; warm >=10x; +1 partition recomputes 1".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            scaling: vec![row(1, 8.0), row(2, 4.2), row(4, 2.5), row(8, 1.6)],
-            cold_wall_s: 2.5,
-            warm_wall_s: 0.05,
-            warm_speedup: 50.0,
-            warm_cache_hits: 8,
-            incremental_added: 1,
-            incremental_recomputed: 1,
-        }
-    }
-
-    #[test]
-    fn backfill_report_round_trips() {
-        let report = sample_backfill_report();
-        let text = report.to_json().to_string();
-        assert_eq!(BackfillBenchReport::parse(&text).unwrap(), report);
-    }
-
-    #[test]
-    fn backfill_report_rejects_partial_cache_hits() {
-        let mut report = sample_backfill_report();
-        report.warm_cache_hits = 7;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("not a warm recording"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_requires_warm_cache_hits_field() {
-        let Json::Obj(fields) = sample_backfill_report().to_json() else {
-            unreachable!()
-        };
-        let pruned = Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "warm_cache_hits")
-                .collect(),
+        // 1.03x at dot@1000.
+        let slow = edit(
+            KERNELS,
+            &[
+                (r#""dispatched_ns": 150"#, r#""dispatched_ns": 390"#),
+                (r#""speedup": 2.667"#, r#""speedup": 1.026"#),
+            ],
         );
-        let err = BackfillBenchReport::parse(&pruned.to_string()).unwrap_err();
-        assert!(err.contains("warm_cache_hits"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_rejects_nonzero_restarts() {
-        let mut report = sample_backfill_report();
-        report.restarts = 1;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.pe_restarts = 2;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_enforces_warm_floor() {
-        let mut report = sample_backfill_report();
-        report.warm_wall_s = 1.0;
-        report.warm_speedup = 2.5;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("10"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_enforces_incrementality() {
-        let mut report = sample_backfill_report();
-        report.incremental_recomputed = 9; // recomputed history too
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("recomputed must equal added"), "{err}");
-    }
-
-    #[test]
-    fn backfill_report_scaling_floor_waived_below_four_cores() {
-        let mut report = sample_backfill_report();
-        // No physical parallelism: every worker count takes as long as one.
-        for row in report.scaling.iter_mut() {
-            row.wall_s = 8.0;
-            row.speedup = 1.0;
-        }
-        report.cold_wall_s = 8.0;
-        report.warm_wall_s = 0.1;
-        report.warm_speedup = 80.0;
-        // On a 4+-core host that is a failed recording...
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("2.5"), "{err}");
-        // ...on a 1-core container the floor is unmeasurable and waived.
-        report.cores = 1;
-        assert!(BackfillBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn backfill_report_catches_inconsistent_scaling_speedup() {
-        let mut report = sample_backfill_report();
-        report.scaling[2].speedup = 9.0;
-        let err = BackfillBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    fn sample_serving_report() -> ServingBenchReport {
-        ServingBenchReport {
-            benchmark: "always-on eigensystem serving".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 64,
-            tuples: 200_000,
-            target: "ingest ratio >= 0.9 under full query load".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            clients: 4,
-            requests: 120_000,
-            qps: 24_000.0,
-            p50_us: 80.0,
-            p99_us: 400.0,
-            p999_us: 1_500.0,
-            baseline_tuples_per_s: 100_000.0,
-            serving_tuples_per_s: 95_000.0,
-            ingest_ratio: 0.95,
-        }
-    }
-
-    #[test]
-    fn serving_report_round_trips() {
-        let report = sample_serving_report();
-        let text = report.to_json().to_string();
-        assert_eq!(ServingBenchReport::parse(&text).unwrap(), report);
-    }
-
-    #[test]
-    fn serving_report_rejects_nonzero_restarts() {
-        let mut report = sample_serving_report();
-        report.restarts = 1;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.pe_restarts = 1;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-    }
-
-    #[test]
-    fn serving_report_requires_monotone_quantiles() {
-        let mut report = sample_serving_report();
-        report.p99_us = report.p999_us * 2.0;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("monotone"), "{err}");
-    }
-
-    #[test]
-    fn serving_report_enforces_ingest_floor_with_core_waiver() {
-        let mut report = sample_serving_report();
-        report.serving_tuples_per_s = 60_000.0;
-        report.ingest_ratio = 0.6;
-        // On a 4+-core host the degradation gate fails the artifact...
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("0.9"), "{err}");
-        // ...on a small container the floor is unmeasurable and waived.
-        report.cores = 2;
-        assert!(ServingBenchReport::parse(&report.to_json().to_string()).is_ok());
-    }
-
-    #[test]
-    fn serving_report_catches_inconsistent_ratio() {
-        let mut report = sample_serving_report();
-        report.ingest_ratio = 0.99;
-        let err = ServingBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
+        let err = rejection(&slow);
+        assert!(err.contains("below its floor 1.5"), "{err}");
+        assert!(err.contains("results[kernel=dot,d=1000].speedup"), "{err}");
+        // The same numbers are fine when the host had no SIMD backend.
+        assert!(passes(&edit(&slow, &[("avx2_fma", "scalar")])));
     }
 
     #[test]
     fn kernel_report_catches_inconsistent_speedup() {
-        let mut report = sample_kernel_report();
-        report.results[0].speedup = 9.0;
-        let err = KernelBenchReport::parse(&report.to_json().to_string()).unwrap_err();
+        let err = rejection(&edit(KERNELS, &[(r#""speedup": 2.5"#, r#""speedup": 9"#)]));
         assert!(err.contains("inconsistent"), "{err}");
     }
 
-    fn sample_net_report() -> NetBenchReport {
-        NetBenchReport {
-            benchmark: "wire transport".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 1000,
-            batch: 64,
-            tuples: 6400,
-            target: "codec >= 5x CSV, dist >= 0.5x local".into(),
-            restarts: 0,
-            codec_encode_gbps: 4.0,
-            codec_decode_gbps: 6.0,
-            codec_roundtrip_tuples_per_s: 400_000.0,
-            csv_roundtrip_tuples_per_s: 40_000.0,
-            codec_vs_csv: 10.0,
-            codec_steady_allocs: 0,
-            frame_bytes_per_tuple: 8_030.0,
-            local_tuples_per_s: 60_000.0,
-            dist_tuples_per_s: 45_000.0,
-            dist_ratio: 0.75,
-            per_message_overhead_us: 40.0,
-        }
+    #[test]
+    fn backfill_report_rejects_partial_cache_hits() {
+        let err = rejection(&edit(
+            BACKFILL,
+            &[(r#""warm_cache_hits": 8"#, r#""warm_cache_hits": 7"#)],
+        ));
+        assert!(
+            err.contains("'warm_cache_hits' is 7 but 'partitions' is 8"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn net_report_round_trips() {
-        let report = sample_net_report();
-        let text = report.to_json().to_string();
-        assert_eq!(NetBenchReport::parse(&text).unwrap(), report);
+    fn backfill_report_requires_warm_cache_hits_field() {
+        let err = rejection(&edit(BACKFILL, &[(r#""warm_cache_hits": 8, "#, "")]));
+        assert!(err.contains("missing field 'warm_cache_hits'"), "{err}");
+    }
+
+    #[test]
+    fn backfill_report_rejects_nonzero_restarts() {
+        let err = rejection(&edit(BACKFILL, &[(r#""restarts": 0"#, r#""restarts": 1"#)]));
+        assert!(err.contains("'restarts' is 1"), "{err}");
+        let err = rejection(&edit(
+            BACKFILL,
+            &[(r#""pe_restarts": 0"#, r#""pe_restarts": 2"#)],
+        ));
+        assert!(err.contains("'pe_restarts' is 2"), "{err}");
+    }
+
+    #[test]
+    fn backfill_report_enforces_warm_floor() {
+        let err = rejection(&edit(
+            BACKFILL,
+            &[
+                (r#""warm_wall_s": 0.05"#, r#""warm_wall_s": 1.0"#),
+                (r#""warm_speedup": 50.0"#, r#""warm_speedup": 2.5"#),
+            ],
+        ));
+        assert!(
+            err.contains("'warm_speedup' is 2.5, below its floor 10"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn backfill_report_enforces_incrementality() {
+        // Recomputed history too.
+        let err = rejection(&edit(
+            BACKFILL,
+            &[(
+                r#""incremental_recomputed": 1"#,
+                r#""incremental_recomputed": 9"#,
+            )],
+        ));
+        assert!(err.contains("'incremental_recomputed' is 9"), "{err}");
+    }
+
+    #[test]
+    fn backfill_report_scaling_floor_waived_below_four_cores() {
+        // No physical parallelism: four workers take as long as one.
+        let flat = edit(
+            BACKFILL,
+            &[(
+                r#""wall_s": 2.5, "speedup": 3.2"#,
+                r#""wall_s": 8.0, "speedup": 1.0"#,
+            )],
+        );
+        // On a 4+-core host that is a failed recording...
+        let err = rejection(&flat);
+        assert!(err.contains("'scaling[workers=4].speedup' is 1, below its floor 2.5"));
+        assert!(err.contains("unless cores < 4"), "{err}");
+        // ...on a 1-core container the floor is unmeasurable and waived.
+        assert!(passes(&edit(&flat, &[(r#""cores": 8"#, r#""cores": 1"#)])));
+    }
+
+    #[test]
+    fn backfill_report_catches_inconsistent_scaling_speedup() {
+        let err = rejection(&edit(BACKFILL, &[(r#""speedup": 3.2"#, r#""speedup": 9"#)]));
+        assert!(
+            err.contains("scaling[2]: 'speedup' is 9, inconsistent"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn serving_report_rejects_nonzero_restarts() {
+        let err = rejection(&edit(SERVING, &[(r#""restarts": 0"#, r#""restarts": 1"#)]));
+        assert!(err.contains("'restarts' is 1"), "{err}");
+        let err = rejection(&edit(
+            SERVING,
+            &[(r#""pe_restarts": 0"#, r#""pe_restarts": 1"#)],
+        ));
+        assert!(err.contains("'pe_restarts' is 1"), "{err}");
+    }
+
+    #[test]
+    fn serving_report_requires_monotone_quantiles() {
+        let err = rejection(&edit(SERVING, &[(r#""p99_us": 400"#, r#""p99_us": 3000"#)]));
+        assert!(err.contains("'p99_us' is 3000, above 'p999_us'"), "{err}");
+    }
+
+    #[test]
+    fn serving_report_enforces_ingest_floor_with_core_waiver() {
+        let degraded = edit(
+            SERVING,
+            &[
+                (
+                    r#""serving_tuples_per_s": 95000"#,
+                    r#""serving_tuples_per_s": 60000"#,
+                ),
+                (r#""ingest_ratio": 0.95"#, r#""ingest_ratio": 0.6"#),
+            ],
+        );
+        // On a 4+-core host the degradation gate fails the artifact...
+        let err = rejection(&degraded);
+        assert!(
+            err.contains("'ingest_ratio' is 0.6, below its floor 0.9"),
+            "{err}"
+        );
+        // ...on a small container the floor is unmeasurable and waived.
+        assert!(passes(&edit(
+            &degraded,
+            &[(r#""cores": 8"#, r#""cores": 2"#)]
+        )));
+    }
+
+    #[test]
+    fn serving_report_catches_inconsistent_ratio() {
+        let err = rejection(&edit(
+            SERVING,
+            &[(r#""ingest_ratio": 0.95"#, r#""ingest_ratio": 0.99"#)],
+        ));
+        assert!(
+            err.contains("'ingest_ratio' is 0.99, inconsistent"),
+            "{err}"
+        );
     }
 
     #[test]
     fn net_report_rejects_nonzero_restarts_and_allocs() {
-        let mut report = sample_net_report();
-        report.restarts = 1;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-        report.restarts = 0;
-        report.codec_steady_allocs = 3;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("allocate"), "{err}");
+        let err = rejection(&edit(NET, &[(r#""restarts": 0"#, r#""restarts": 1"#)]));
+        assert!(err.contains("'restarts' is 1"), "{err}");
+        let err = rejection(&edit(
+            NET,
+            &[(r#""codec_steady_allocs": 0"#, r#""codec_steady_allocs": 3"#)],
+        ));
+        assert!(err.contains("'codec_steady_allocs' is 3"), "{err}");
     }
 
     #[test]
     fn net_report_enforces_codec_floor_unconditionally() {
-        let mut report = sample_net_report();
-        report.codec_roundtrip_tuples_per_s = 120_000.0;
-        report.codec_vs_csv = 3.0;
         // Even on a tiny host: the codec bench is single-threaded and
         // CPU-bound, so the floor is measurable everywhere.
-        report.cores = 1;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("5x acceptance floor"), "{err}");
+        let err = rejection(&edit(
+            NET,
+            &[
+                (
+                    r#""codec_roundtrip_tuples_per_s": 400000"#,
+                    r#""codec_roundtrip_tuples_per_s": 120000"#,
+                ),
+                (r#""codec_vs_csv": 10.0"#, r#""codec_vs_csv": 3.0"#),
+                (r#""cores": 8"#, r#""cores": 1"#),
+            ],
+        ));
+        assert!(
+            err.contains("'codec_vs_csv' is 3, below its floor 5"),
+            "{err}"
+        );
     }
 
     #[test]
     fn net_report_enforces_dist_floor_with_core_waiver() {
-        let mut report = sample_net_report();
-        report.dist_tuples_per_s = 24_000.0;
-        report.dist_ratio = 0.4;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("0.5x acceptance floor"), "{err}");
+        let slow = edit(
+            NET,
+            &[
+                (
+                    r#""dist_tuples_per_s": 45000"#,
+                    r#""dist_tuples_per_s": 24000"#,
+                ),
+                (r#""dist_ratio": 0.75"#, r#""dist_ratio": 0.4"#),
+            ],
+        );
+        let err = rejection(&slow);
+        assert!(
+            err.contains("'dist_ratio' is 0.4, below its floor 0.5"),
+            "{err}"
+        );
         // Two processes time-slicing one core measure the scheduler, not
         // the transport: waived below 4 cores.
-        report.cores = 1;
-        assert!(NetBenchReport::parse(&report.to_json().to_string()).is_ok());
+        assert!(passes(&edit(&slow, &[(r#""cores": 8"#, r#""cores": 1"#)])));
     }
 
     #[test]
     fn net_report_catches_inconsistent_ratios() {
-        let mut report = sample_net_report();
-        report.codec_vs_csv = 7.0;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-
-        let mut report = sample_net_report();
-        report.dist_ratio = 0.9;
-        let err = NetBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    fn sample_elastic_report() -> ElasticBenchReport {
-        ElasticBenchReport {
-            benchmark: "elastic rescale".into(),
-            machine_note: "test".into(),
-            cores: 8,
-            dim: 32,
-            tuples: 200_000,
-            target: "zero loss, consistency <= 0.25".into(),
-            restarts: 0,
-            pe_restarts: 0,
-            scale_outs: 1,
-            scale_ins: 1,
-            tuple_loss: 0,
-            scale_out_latency_ms: 12.5,
-            scale_in_latency_ms: 40.0,
-            consistency: 0.03,
-            max_engines: 3,
-            final_engines: 1,
-        }
-    }
-
-    #[test]
-    fn elastic_report_round_trips() {
-        let report = sample_elastic_report();
-        let back = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap();
-        assert_eq!(back, report);
+        let err = rejection(&edit(
+            NET,
+            &[(r#""codec_vs_csv": 10.0"#, r#""codec_vs_csv": 7.0"#)],
+        ));
+        assert!(err.contains("'codec_vs_csv' is 7, inconsistent"), "{err}");
+        let err = rejection(&edit(
+            NET,
+            &[(r#""dist_ratio": 0.75"#, r#""dist_ratio": 0.9"#)],
+        ));
+        assert!(err.contains("'dist_ratio' is 0.9, inconsistent"), "{err}");
     }
 
     #[test]
     fn elastic_report_rejects_faulted_or_lossy_recordings() {
-        let mut report = sample_elastic_report();
-        report.restarts = 1;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.pe_restarts = 2;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("fault-free"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.tuple_loss = 3;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("conserve"), "{err}");
+        let err = rejection(&edit(ELASTIC, &[(r#""restarts": 0"#, r#""restarts": 1"#)]));
+        assert!(err.contains("'restarts' is 1"), "{err}");
+        let err = rejection(&edit(
+            ELASTIC,
+            &[(r#""pe_restarts": 0"#, r#""pe_restarts": 2"#)],
+        ));
+        assert!(err.contains("'pe_restarts' is 2"), "{err}");
+        let err = rejection(&edit(
+            ELASTIC,
+            &[(r#""tuple_loss": 0"#, r#""tuple_loss": 3"#)],
+        ));
+        assert!(err.contains("'tuple_loss' is 3"), "{err}");
     }
 
     #[test]
     fn elastic_report_requires_a_rescale_in_each_direction() {
-        let mut report = sample_elastic_report();
-        report.scale_ins = 0;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("each direction"), "{err}");
-
-        let mut report = sample_elastic_report();
-        report.scale_outs = 0;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_err());
+        let err = rejection(&edit(
+            ELASTIC,
+            &[(r#""scale_ins": 1"#, r#""scale_ins": 0"#)],
+        ));
+        assert!(
+            err.contains("'scale_ins' is 0; it must be positive"),
+            "{err}"
+        );
+        let err = rejection(&edit(
+            ELASTIC,
+            &[(r#""scale_outs": 1"#, r#""scale_outs": 0"#)],
+        ));
+        assert!(
+            err.contains("'scale_outs' is 0; it must be positive"),
+            "{err}"
+        );
     }
 
     #[test]
     fn elastic_report_enforces_consistency_unconditionally() {
-        let mut report = sample_elastic_report();
-        report.consistency = 0.5;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("subspace tolerance"), "{err}");
+        let diverged = edit(
+            ELASTIC,
+            &[(r#""consistency": 0.03"#, r#""consistency": 0.5"#)],
+        );
+        let err = rejection(&diverged);
+        assert!(
+            err.contains("'consistency' is 0.5, above its ceiling 0.25"),
+            "{err}"
+        );
         // No core waiver for correctness: a 1-core host must still agree
         // with the fixed-fleet reference.
-        report.cores = 1;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_err());
+        assert!(!passes(&edit(
+            &diverged,
+            &[(r#""cores": 8"#, r#""cores": 1"#)]
+        )));
     }
 
     #[test]
     fn elastic_report_latency_ceiling_waived_below_four_cores() {
-        let mut report = sample_elastic_report();
-        report.scale_in_latency_ms = 5_000.0;
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("ceiling"), "{err}");
+        let slow = edit(
+            ELASTIC,
+            &[(
+                r#""scale_in_latency_ms": 40.0"#,
+                r#""scale_in_latency_ms": 5000"#,
+            )],
+        );
+        let err = rejection(&slow);
+        assert!(err.contains("'scale_in_latency_ms' is 5000, above its ceiling 1000"));
         // On a time-sliced host the latency measures the scheduler.
-        report.cores = 1;
-        assert!(ElasticBenchReport::parse(&report.to_json().to_string()).is_ok());
+        assert!(passes(&edit(&slow, &[(r#""cores": 8"#, r#""cores": 1"#)])));
     }
 
     #[test]
     fn elastic_report_bounds_the_final_fleet() {
-        let mut report = sample_elastic_report();
-        report.final_engines = 4; // above max_engines = 3
-        let err = ElasticBenchReport::parse(&report.to_json().to_string()).unwrap_err();
-        assert!(err.contains("max_engines"), "{err}");
+        // Above max_engines = 3.
+        let err = rejection(&edit(
+            ELASTIC,
+            &[(r#""final_engines": 1"#, r#""final_engines": 4"#)],
+        ));
+        assert!(
+            err.contains("'final_engines' is 4, above 'max_engines' = 3"),
+            "{err}"
+        );
     }
 }

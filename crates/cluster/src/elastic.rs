@@ -34,10 +34,13 @@ pub struct ElasticPolicy {
     pub min_engines: usize,
     /// Upper bound (cloud quota).
     pub max_engines: usize,
-    /// Epochs to hold after *any* scaling action before considering the
-    /// next one. Without this hysteresis, offered load sitting at a
-    /// capacity boundary (or a noisy capacity measurement straddling it)
-    /// flips `+step_up`/`-step_down` on consecutive epochs forever.
+    /// Epochs to hold after a scaling action before considering the next
+    /// one. Without this hysteresis, offered load sitting at a capacity
+    /// boundary (or a noisy capacity measurement straddling it) flips
+    /// `+step_up`/`-step_down` on consecutive epochs forever. A scale-up
+    /// that directly follows a scale-up is exempt: demand still outrunning
+    /// a pool that just grew is a ramp, not a flap, and holding it costs
+    /// an epoch of unmet load per step.
     pub cooldown_epochs: usize,
 }
 
@@ -68,17 +71,17 @@ impl ElasticPolicy {
     /// `capacity` estimates sustainable throughput at a pool size (only
     /// consulted for the current and candidate-smaller pools);
     /// `epochs_since_action` is how many epochs ago the last nonzero
-    /// action happened (pass `cooldown_epochs` or more when none has).
+    /// action happened (pass `cooldown_epochs` or more when none has),
+    /// and `last_action` is that action (0 when none has).
     pub fn decide(
         &self,
         offered: f64,
         engines: usize,
         mut capacity: impl FnMut(usize) -> f64,
         epochs_since_action: usize,
+        last_action: i64,
     ) -> i64 {
-        if epochs_since_action < self.cooldown_epochs {
-            return 0;
-        }
+        let cooling = epochs_since_action < self.cooldown_epochs;
         let achieved = capacity(engines).min(offered);
         let satisfaction = if offered > 0.0 {
             achieved / offered
@@ -86,10 +89,13 @@ impl ElasticPolicy {
             1.0
         };
         if satisfaction < self.scale_up_below && engines < self.max_engines {
+            if cooling && last_action <= 0 {
+                return 0;
+            }
             let next = (engines + self.step_up).min(self.max_engines);
             return (next - engines) as i64;
         }
-        if engines > self.min_engines {
+        if engines > self.min_engines && !cooling {
             let smaller = engines.saturating_sub(self.step_down).max(self.min_engines);
             if capacity(smaller) >= offered * self.scale_up_below * self.scale_down_margin {
                 return -((engines - smaller) as i64);
@@ -144,6 +150,7 @@ pub fn simulate_elastic(
     // Free to act on the first epoch; afterwards the cooldown counts up
     // from every nonzero action.
     let mut since_action = policy.cooldown_epochs;
+    let mut last_action = 0;
 
     for &offered in offered_load {
         let cap = capacity(engines);
@@ -155,13 +162,14 @@ pub fn simulate_elastic(
         };
 
         // Decide the action for the next epoch.
-        let action = policy.decide(offered, engines, &mut capacity, since_action);
+        let action = policy.decide(offered, engines, &mut capacity, since_action, last_action);
         engines = (engines as i64 + action) as usize;
-        since_action = if action != 0 {
-            0
+        if action != 0 {
+            since_action = 0;
+            last_action = action;
         } else {
-            since_action.saturating_add(1)
-        };
+            since_action = since_action.saturating_add(1);
+        }
 
         reports.push(EpochReport {
             offered,
@@ -256,16 +264,23 @@ mod tests {
     fn drive_policy(policy: &ElasticPolicy, caps: &[f64], offered: f64) -> Vec<i64> {
         let mut engines = policy.min_engines.max(1);
         let mut since_action = policy.cooldown_epochs;
+        let mut last_action = 0;
         caps.iter()
             .map(|&per_engine| {
-                let action =
-                    policy.decide(offered, engines, |n| per_engine * n as f64, since_action);
+                let action = policy.decide(
+                    offered,
+                    engines,
+                    |n| per_engine * n as f64,
+                    since_action,
+                    last_action,
+                );
                 engines = (engines as i64 + action) as usize;
-                since_action = if action != 0 {
-                    0
+                if action != 0 {
+                    since_action = 0;
+                    last_action = action;
                 } else {
-                    since_action.saturating_add(1)
-                };
+                    since_action = since_action.saturating_add(1);
+                }
                 action
             })
             .collect()

@@ -265,6 +265,7 @@ pub struct ElasticSupervisor {
     started: Instant,
     window: Option<EpochWindow>,
     since_action: usize,
+    last_action: i64,
     peak_per_engine: f64,
     /// Every rescale executed so far, in order.
     pub events: Vec<ScaleEvent>,
@@ -287,6 +288,7 @@ impl ElasticSupervisor {
             started: Instant::now(),
             window: None,
             since_action: 0,
+            last_action: 0,
             peak_per_engine: 0.0,
             events: Vec::new(),
         }
@@ -367,6 +369,7 @@ impl ElasticSupervisor {
             active,
             |n| per_engine * n as f64,
             self.since_action,
+            self.last_action,
         );
         if action == 0 {
             self.since_action = self.since_action.saturating_add(1);
@@ -391,6 +394,7 @@ impl ElasticSupervisor {
             }
         }
         self.since_action = 0;
+        self.last_action = action;
         if applied == 0 {
             return None;
         }
