@@ -26,6 +26,7 @@ use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{AppConfig, ElasticRuntime, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Fault;
 use spca_streams::ops::GeneratorSource;
 use spca_streams::{Engine, Operator, RunReport};
 use std::sync::Arc;
@@ -176,8 +177,11 @@ fn main() {
         ),
         ("restarts", outcome.report.total_restarts().into()),
         ("pe_restarts", outcome.report.total_pe_restarts().into()),
-        ("scale_outs", outcome.report.total_scale_outs().into()),
-        ("scale_ins", outcome.report.total_scale_ins().into()),
+        (
+            "scale_outs",
+            outcome.report.faults()[Fault::ScaleOuts].into(),
+        ),
+        ("scale_ins", outcome.report.faults()[Fault::ScaleIns].into()),
         ("tuple_loss", fed.saturating_sub(processed).into()),
         (
             "scale_out_latency_ms",

@@ -440,6 +440,7 @@ mod tests {
     use rand::SeedableRng;
     use spca_core::metrics::subspace_distance;
     use spca_spectra::PlantedSubspace;
+    use spca_streams::metrics::Fault;
     use spca_streams::ops::GeneratorSource;
     use spca_streams::Engine;
 
@@ -608,8 +609,8 @@ mod tests {
         assert_eq!(h.engine_states[1].lock().n_obs(), 0);
         assert_eq!(h.engine_states[2].lock().n_obs(), 0);
         assert_eq!(h.hub.engines_reporting(), 1, "standbys report nothing");
-        assert_eq!(report.total_scale_outs(), 0);
-        assert_eq!(report.total_scale_ins(), 0);
+        assert_eq!(report.faults()[Fault::ScaleOuts], 0);
+        assert_eq!(report.faults()[Fault::ScaleIns], 0);
     }
 
     #[test]

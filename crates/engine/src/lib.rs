@@ -50,5 +50,5 @@ pub use messages::{
 pub use pca_operator::StreamingPcaOp;
 pub use persist::{read_snapshot, recovery_path, write_snapshot, SnapshotWriter};
 pub use results::ResultsHub;
-pub use serve::{endpoint_index, EigenQueryHandler, FaultCounters, ServeShared};
+pub use serve::{endpoint_index, EigenQueryHandler, ServeShared};
 pub use sync::{SyncController, SyncStrategy};

@@ -36,6 +36,7 @@ use crate::persist;
 use parking_lot::Mutex;
 use spca_core::{merge, PcaConfig, RobustPca};
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
+use spca_streams::metrics::Fault;
 use spca_streams::{ControlTuple, DataTuple, OpContext, Operator};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -351,7 +352,7 @@ impl Operator for StreamingPcaOp {
         // and contribute zero weight to the eigensystem.
         if !tuple.all_finite() {
             self.quarantined += 1;
-            ctx.add_quarantined();
+            ctx.count(Fault::Quarantined);
             if self.quarantined <= 5 || self.quarantined.is_multiple_of(1000) {
                 eprintln!(
                     "engine {}: quarantined non-finite tuple {} ({} so far)",
@@ -437,7 +438,7 @@ impl Operator for StreamingPcaOp {
                 // it has re-earned statistical independence, and the skip
                 // count is how the run report makes that visible.
                 if self.obs_since_sync <= self.sync_gate {
-                    ctx.add_sync_skip();
+                    ctx.count(Fault::SyncSkips);
                     return;
                 }
                 let Some(cmd) = tuple.payload_as::<SyncCommand>() else {
@@ -1065,7 +1066,7 @@ mod tests {
         });
 
         assert_eq!(dirty.quarantined, 6);
-        assert_eq!(counters.snapshot().quarantined, 6);
+        assert_eq!(counters.snapshot().faults[Fault::Quarantined], 6);
         assert_eq!(dirty.processed, clean.processed);
         let a = clean.state_handle();
         let b = dirty.state_handle();
@@ -1110,7 +1111,7 @@ mod tests {
             );
         });
         assert!(sink.ports[0].is_empty());
-        assert_eq!(counters.snapshot().sync_skips, 1);
+        assert_eq!(counters.snapshot().faults[Fault::SyncSkips], 1);
     }
 
     #[test]

@@ -26,76 +26,12 @@
 
 use crate::epoch::{EpochReader, EpochStore};
 use spca_core::QueryWorkspace;
-use spca_streams::metrics::LatencyHistogram;
+use spca_streams::metrics::{Fault, FaultCounts, LatencyHistogram};
 use spca_streams::ops::http_server::{ConnHandler, Request, ResponseBuf, ServerStats};
-use spca_streams::RunReport;
 use std::io::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// The fault counters the CLI fault summary prints; `/metrics` exposes
-/// the same values so the two can be asserted identical.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Supervised operator restarts.
-    pub restarts: u64,
-    /// Whole-PE restarts.
-    pub pe_restarts: u64,
-    /// Quarantined (non-finite) tuples.
-    pub quarantined: u64,
-    /// Synchronization rounds skipped by the independence gate.
-    pub sync_skips: u64,
-    /// Storage faults absorbed by the persistence layer (ENOSPC, fsync
-    /// failures, torn or bit-rotted files found at recovery).
-    pub io_faults: u64,
-    /// Checkpoint blobs/manifests moved aside as `*.corrupt-N` during
-    /// PE recovery.
-    pub quarantined_snapshots: u64,
-    /// Periodic checkpoints skipped because the write failed (the PE
-    /// keeps running and backs off its checkpoint window).
-    pub checkpoint_skips: u64,
-    /// Engines admitted by the elastic autoscaler (scale-out events).
-    pub scale_outs: u64,
-    /// Engines retired by the elastic autoscaler (scale-in events).
-    pub scale_ins: u64,
-}
-
-impl FaultCounters {
-    /// Extracts the counters from a finished run's report — by
-    /// construction the same totals the CLI fault summary prints.
-    pub fn from_report(report: &RunReport) -> Self {
-        FaultCounters {
-            restarts: report.total_restarts(),
-            pe_restarts: report.total_pe_restarts(),
-            quarantined: report.total_quarantined(),
-            sync_skips: report.total_sync_skips(),
-            io_faults: report.total_io_faults(),
-            quarantined_snapshots: report.total_quarantined_snapshots(),
-            checkpoint_skips: report.total_checkpoint_skips(),
-            scale_outs: report.total_scale_outs(),
-            scale_ins: report.total_scale_ins(),
-        }
-    }
-
-    /// Sums the counters over live operator snapshots
-    /// (`RunningEngine::op_snapshots`).
-    pub fn from_op_snapshots(snaps: &[(String, spca_streams::metrics::OpSnapshot)]) -> Self {
-        let mut c = FaultCounters::default();
-        for (_, s) in snaps {
-            c.restarts += s.restarts;
-            c.pe_restarts += s.pe_restarts;
-            c.quarantined += s.quarantined;
-            c.sync_skips += s.sync_skips;
-            c.io_faults += s.io_faults;
-            c.quarantined_snapshots += s.quarantined_snapshots;
-            c.checkpoint_skips += s.checkpoint_skips;
-            c.scale_outs += s.scale_outs;
-            c.scale_ins += s.scale_ins;
-        }
-        c
-    }
-}
 
 /// Endpoint indices into the histogram table.
 const EP_PROJECT: usize = 0;
@@ -124,7 +60,7 @@ pub fn endpoint_index(name: &str) -> Option<usize> {
 /// and (once the server is up) its admission-control stats.
 pub struct ServeShared {
     store: Arc<EpochStore>,
-    counters: Mutex<FaultCounters>,
+    counters: Mutex<FaultCounts>,
     hist: [LatencyHistogram; 6],
     server_stats: OnceLock<Arc<ServerStats>>,
 }
@@ -134,7 +70,7 @@ impl ServeShared {
     pub fn new(store: Arc<EpochStore>) -> Self {
         ServeShared {
             store,
-            counters: Mutex::new(FaultCounters::default()),
+            counters: Mutex::new(FaultCounts::default()),
             hist: Default::default(),
             server_stats: OnceLock::new(),
         }
@@ -146,15 +82,11 @@ impl ServeShared {
     }
 
     /// Mirrors the engine's fault counters into `/metrics`. Call with
-    /// live sums while the run is in flight and with
-    /// [`FaultCounters::from_report`] after it finishes.
-    pub fn set_counters(&self, c: FaultCounters) {
+    /// live sums ([`FaultCounts::sum`] over `RunningEngine::op_snapshots`)
+    /// while the run is in flight and with `RunReport::faults` after it
+    /// finishes — the totals the CLI fault summary prints.
+    pub fn set_counters(&self, c: FaultCounts) {
         *self.counters.lock().unwrap() = c;
-    }
-
-    /// Current mirrored fault counters.
-    pub fn counters(&self) -> FaultCounters {
-        *self.counters.lock().unwrap()
     }
 
     /// Attaches the HTTP server's stats so `/metrics` can report
@@ -163,7 +95,7 @@ impl ServeShared {
         let _ = self.server_stats.set(stats);
     }
 
-    /// Per-endpoint latency histogram (by [`ENDPOINT_NAMES`] index).
+    /// Per-endpoint latency histogram (by [`endpoint_index`]).
     pub fn histogram(&self, endpoint: usize) -> &LatencyHistogram {
         &self.hist[endpoint]
     }
@@ -225,18 +157,12 @@ impl EigenQueryHandler {
     }
 
     fn metrics_response(&mut self, resp: &mut ResponseBuf) {
-        let c = self.shared.counters();
+        let c = *self.shared.counters.lock().unwrap();
         let b = &mut resp.body;
         let _ = writeln!(b, "spca_epoch {}", self.shared.store().epoch());
-        let _ = writeln!(b, "spca_restarts {}", c.restarts);
-        let _ = writeln!(b, "spca_pe_restarts {}", c.pe_restarts);
-        let _ = writeln!(b, "spca_quarantined {}", c.quarantined);
-        let _ = writeln!(b, "spca_sync_skips {}", c.sync_skips);
-        let _ = writeln!(b, "spca_io_faults {}", c.io_faults);
-        let _ = writeln!(b, "spca_quarantined_snapshots {}", c.quarantined_snapshots);
-        let _ = writeln!(b, "spca_checkpoint_skips {}", c.checkpoint_skips);
-        let _ = writeln!(b, "spca_scale_outs {}", c.scale_outs);
-        let _ = writeln!(b, "spca_scale_ins {}", c.scale_ins);
+        for f in Fault::ALL {
+            let _ = writeln!(b, "{} {}", f.metric_name(), c[f]);
+        }
         if let Some(stats) = self.shared.server_stats.get() {
             let _ = writeln!(
                 b,
@@ -510,17 +436,17 @@ mod tests {
         let store = Arc::new(EpochStore::new());
         publish_fitted(&store);
         let shared = Arc::new(ServeShared::new(Arc::clone(&store)));
-        shared.set_counters(FaultCounters {
-            restarts: 3,
-            pe_restarts: 1,
-            quarantined: 7,
-            sync_skips: 42,
-            io_faults: 5,
-            quarantined_snapshots: 2,
-            checkpoint_skips: 9,
-            scale_outs: 4,
-            scale_ins: 3,
-        });
+        let mut counts = FaultCounts::default();
+        counts[Fault::Restarts] = 3;
+        counts[Fault::PeRestarts] = 1;
+        counts[Fault::Quarantined] = 7;
+        counts[Fault::SyncSkips] = 42;
+        counts[Fault::IoFaults] = 5;
+        counts[Fault::QuarantinedSnapshots] = 2;
+        counts[Fault::CheckpointSkips] = 9;
+        counts[Fault::ScaleOuts] = 4;
+        counts[Fault::ScaleIns] = 3;
+        shared.set_counters(counts);
         let server = start_server(&shared);
         let addr = server.local_addr();
         let obs_csv = (0..D)
@@ -540,6 +466,15 @@ mod tests {
         assert!(body.contains("spca_checkpoint_skips 9"), "{body}");
         assert!(body.contains("spca_scale_outs 4"), "{body}");
         assert!(body.contains("spca_scale_ins 3"), "{body}");
+        // The fault block in full: names, order and line breaks.
+        assert!(
+            body.contains(
+                "spca_epoch 1\nspca_restarts 3\nspca_pe_restarts 1\nspca_quarantined 7\n\
+                 spca_sync_skips 42\nspca_io_faults 5\nspca_quarantined_snapshots 2\n\
+                 spca_checkpoint_skips 9\nspca_scale_outs 4\nspca_scale_ins 3\n"
+            ),
+            "{body}"
+        );
         assert!(
             body.contains("spca_requests_total{endpoint=\"score\"} 1"),
             "{body}"

@@ -16,6 +16,7 @@ use crate::messages::{
     Heartbeat, PeerState, SyncCommand, KIND_HEARTBEAT, KIND_SNAPSHOT, KIND_SYNC_COMMAND,
 };
 use spca_streams::checkpoint::{decode_kv, encode_kv, kv_parse, kv_u64, Checkpoint};
+use spca_streams::metrics::Fault;
 use spca_streams::{ActiveSet, ControlTuple, DataTuple, OpContext, Operator, SourceState};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,11 +193,11 @@ impl SyncController {
         };
         while self.n_engines < target {
             self.admit_engine();
-            ctx.add_scale_out();
+            ctx.count(Fault::ScaleOuts);
         }
         while self.n_engines > target && self.n_engines > 1 {
             self.retire_engine();
-            ctx.add_scale_in();
+            ctx.count(Fault::ScaleIns);
         }
     }
 
@@ -312,7 +313,7 @@ impl Operator for SyncController {
             self.cursor = (self.cursor + 1) % self.n_engines;
             if !self.alive(sender) {
                 self.skipped_dead += 1;
-                ctx.add_sync_skip();
+                ctx.count(Fault::SyncSkips);
                 continue;
             }
             let cmd = self.command_for(sender);
@@ -321,7 +322,7 @@ impl Operator for SyncController {
                     // A live sender with nobody live to talk to is still a
                     // skipped exchange — make it visible in the report.
                     self.skipped_dead += 1;
-                    ctx.add_sync_skip();
+                    ctx.count(Fault::SyncSkips);
                 }
                 return SourceState::Idle;
             }
@@ -506,7 +507,7 @@ mod tests {
         });
         // Rotation 0 → (1 skipped dead) → 2 → 3.
         assert_eq!(c.skipped_dead, 1);
-        assert_eq!(counters.snapshot().sync_skips, 1);
+        assert_eq!(counters.snapshot().faults[Fault::SyncSkips], 1);
         assert!(sink.ports[1].is_empty(), "dead engine must get no commands");
         // Full-mesh port map: engine 0's port for peer 2 is 1; engine 2's
         // for peer 3 is 2; engine 3's for peer 0 is 0. The ring is closed
@@ -749,8 +750,12 @@ mod tests {
             }
         });
         let snap = counters.snapshot();
-        assert_eq!(snap.scale_outs, 2, "two admissions = two scale-out events");
-        assert_eq!(snap.scale_ins, 0);
+        assert_eq!(
+            snap.faults[Fault::ScaleOuts],
+            2,
+            "two admissions = two scale-out events"
+        );
+        assert_eq!(snap.faults[Fault::ScaleIns], 0);
         assert!(
             (0..3).all(|p| !sink.ports[p].is_empty()),
             "all three rotate"
@@ -763,7 +768,11 @@ mod tests {
             assert_eq!(c.drive(ctx), SourceState::Idle);
         });
         let snap = counters.snapshot();
-        assert_eq!(snap.scale_ins, 2, "two retirements = two scale-in events");
+        assert_eq!(
+            snap.faults[Fault::ScaleIns],
+            2,
+            "two retirements = two scale-in events"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use spca_core::metrics::subspace_distance;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::{normalize_fault_targets, AppConfig, ParallelPcaApp, SyncStrategy};
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Fault;
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
 use spca_streams::{Engine, FaultPlan, Operator, RunReport};
 use std::path::{Path, PathBuf};
@@ -163,13 +164,19 @@ fn panicked_engine_restarts_from_snapshot_and_matches_fault_free_run() {
     // (c) The counters are visible in the run report.
     assert_eq!(clean.report.total_restarts(), 0);
     assert_eq!(faulted.report.total_restarts(), 1);
-    assert_eq!(op_snapshot(&faulted.report, "pca-1").restarts, 1);
     assert_eq!(
-        clean.report.total_quarantined(),
+        op_snapshot(&faulted.report, "pca-1").faults[Fault::Restarts],
+        1
+    );
+    assert_eq!(
+        clean.report.faults()[Fault::Quarantined],
         NAN_SEQS.len() as u64,
         "every injected NaN is quarantined, none reach the eigensystem"
     );
-    assert_eq!(faulted.report.total_quarantined(), NAN_SEQS.len() as u64);
+    assert_eq!(
+        faulted.report.faults()[Fault::Quarantined],
+        NAN_SEQS.len() as u64
+    );
     assert!(
         clean.report.total_sync_skips() > 0,
         "the forced-shut gate must count its skips"
@@ -215,9 +222,9 @@ fn killed_pe_rehydrates_from_its_manifest_and_matches_fault_free_run() {
     // The restart is counted at the PE level, not the operator level.
     assert_eq!(clean.report.total_pe_restarts(), 0);
     assert!(faulted.report.total_pe_restarts() > 0);
-    assert!(op_snapshot(&faulted.report, "pca-1").pe_restarts >= 1);
+    assert!(op_snapshot(&faulted.report, "pca-1").faults[Fault::PeRestarts] >= 1);
     assert_eq!(
-        op_snapshot(&faulted.report, "pca-1").restarts,
+        op_snapshot(&faulted.report, "pca-1").faults[Fault::Restarts],
         0,
         "a whole-PE kill must not also count an operator restart"
     );
@@ -280,7 +287,7 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     // state-at-death through on_finish.
     assert_eq!(h.hub.engines_reporting(), 4);
     assert_eq!(
-        op_snapshot(&report, "pca-1").restarts,
+        op_snapshot(&report, "pca-1").faults[Fault::Restarts],
         0,
         "without a recovery snapshot the engine must not restart"
     );
@@ -295,7 +302,7 @@ fn ring_survives_a_killed_engine_and_still_converges() {
     // The controller observed the death: dead-sender ticks were skipped
     // and counted.
     assert!(
-        op_snapshot(&report, "sync-controller").sync_skips > 0,
+        op_snapshot(&report, "sync-controller").faults[Fault::SyncSkips] > 0,
         "controller must skip the dead engine"
     );
 

@@ -1,27 +1,26 @@
-//! `/metrics` ↔ CLI fault-summary parity (ISSUE 7 satellite).
+//! `/metrics` ↔ CLI fault-summary parity.
 //!
-//! The CLI's fault summary prints `report.total_restarts()`,
-//! `total_pe_restarts()`, `total_quarantined()`, `total_sync_skips()`,
-//! `total_io_faults()`, `total_quarantined_snapshots()` and
-//! `total_checkpoint_skips()` verbatim. `/metrics` exposes the same
-//! counters (mirrored into [`ServeShared`] via
-//! [`FaultCounters::from_report`]). This test drives a real engine run
-//! that exercises every counter — an injected panic (restart), NaN
+//! The CLI's fault summary prints `report.faults()` through
+//! `FaultCounts::summary`; `/metrics` serves the same counts (mirrored
+//! into [`ServeShared`] via `set_counters(report.faults())`), one line
+//! per row of `Fault::ALL`. This test drives a real engine run that
+//! exercises the fault counters — an injected panic (restart), NaN
 //! observations (quarantine), a forced-shut independence gate (sync
 //! skips), failing fsyncs (storage faults + checkpoint skips) —
 //! publishes eigensystem epochs into the store along the way, then
-//! scrapes `/metrics` and asserts the served values are identical to the
-//! report totals.
+//! scrapes `/metrics` and asserts that every one of the nine served
+//! values, and every number in the summary line, equals the report total.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spca_core::PcaConfig;
 use spca_engine::{
-    normalize_fault_targets, AppConfig, EigenQueryHandler, EpochStore, FaultCounters,
-    ParallelPcaApp, ServeShared, SyncStrategy,
+    normalize_fault_targets, AppConfig, EigenQueryHandler, EpochStore, ParallelPcaApp, ServeShared,
+    SyncStrategy,
 };
 use spca_spectra::PlantedSubspace;
+use spca_streams::metrics::Fault;
 use spca_streams::ops::http_server::{HttpServer, ServerConfig};
 use spca_streams::ops::{GeneratorSource, SplitStrategy};
 use spca_streams::{Engine, FaultPlan, Operator};
@@ -89,24 +88,18 @@ fn metrics_endpoint_matches_cli_fault_summary_values() {
     // The run must have exercised all the counters we claim parity for,
     // and published epochs while doing so.
     assert!(store.epoch() > 0, "operators must publish into the store");
-    assert_eq!(report.total_restarts(), 1);
-    assert_eq!(report.total_quarantined(), NAN_SEQS.len() as u64);
-    assert!(report.total_sync_skips() > 0);
+    let faults = report.faults();
+    assert_eq!(faults[Fault::Restarts], 1);
+    assert_eq!(faults[Fault::Quarantined], NAN_SEQS.len() as u64);
+    assert!(faults[Fault::SyncSkips] > 0);
     assert!(
-        report.total_checkpoint_skips() > 0,
+        faults[Fault::CheckpointSkips] > 0,
         "failing fsyncs must surface as skipped checkpoints"
     );
-    assert!(report.total_io_faults() > 0);
-
-    // Summing live per-op snapshots gives the same totals the report
-    // aggregates — the in-flight mirroring path agrees with the final one.
-    assert_eq!(
-        FaultCounters::from_op_snapshots(&report.ops),
-        FaultCounters::from_report(&report)
-    );
+    assert!(faults[Fault::IoFaults] > 0);
 
     let shared = Arc::new(ServeShared::new(Arc::clone(&store)));
-    shared.set_counters(FaultCounters::from_report(&report));
+    shared.set_counters(faults);
     let server = {
         let shared = Arc::clone(&shared);
         HttpServer::start("127.0.0.1:0", ServerConfig::default(), move |_| {
@@ -125,21 +118,19 @@ fn metrics_endpoint_matches_cli_fault_summary_values() {
     assert!(response.starts_with("HTTP/1.1 200"), "{response}");
     let body = response.split("\r\n\r\n").nth(1).unwrap();
 
-    // The CLI fault summary prints exactly these four report totals; the
-    // endpoint must serve identical values.
-    assert_eq!(metric(body, "spca_restarts"), report.total_restarts());
-    assert_eq!(metric(body, "spca_pe_restarts"), report.total_pe_restarts());
-    assert_eq!(metric(body, "spca_quarantined"), report.total_quarantined());
-    assert_eq!(metric(body, "spca_sync_skips"), report.total_sync_skips());
-    assert_eq!(metric(body, "spca_io_faults"), report.total_io_faults());
-    assert_eq!(
-        metric(body, "spca_quarantined_snapshots"),
-        report.total_quarantined_snapshots()
-    );
-    assert_eq!(
-        metric(body, "spca_checkpoint_skips"),
-        report.total_checkpoint_skips()
-    );
+    // The CLI fault summary prints every row of the fault table; the
+    // endpoint must serve identical values for all of them.
+    let summary = faults.summary().expect("the run recorded faults");
+    let printed: Vec<&str> = summary
+        .strip_prefix("fault summary: ")
+        .expect("summary prefix")
+        .split(", ")
+        .collect();
+    assert_eq!(printed.len(), Fault::ALL.len(), "{summary}");
+    for (f, entry) in Fault::ALL.into_iter().zip(printed) {
+        assert_eq!(metric(body, f.metric_name()), faults[f], "{f:?}");
+        assert_eq!(entry, format!("{} {}", faults[f], f.label()), "{f:?}");
+    }
     assert_eq!(metric(body, "spca_epoch"), store.epoch());
 
     std::fs::remove_dir_all(&recovery).ok();

@@ -9,7 +9,7 @@
 //! runtime*:
 //!
 //! * [`Backend::Scalar`] — the unrolled portable code, verbatim from the
-//!   pre-dispatch implementation (see [`scalar`]'s private module docs). It
+//!   pre-dispatch implementation (see the private `scalar` module's docs). It
 //!   is always available and is the only path on non-x86-64 targets.
 //! * [`Backend::Avx2Fma`] — AVX2 + FMA kernels (4 `f64` lanes, fused
 //!   multiply-add), used when `is_x86_feature_detected!` confirms both

@@ -179,7 +179,7 @@ pub fn write_atomic_vfs(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<
 const RETAINED_GENERATIONS: u64 = 2;
 
 /// One PE's checkpoint writer: owns the generation counter, keeps the last
-/// [`RETAINED_GENERATIONS`] generations on disk, and garbage-collects
+/// `RETAINED_GENERATIONS` (2) generations on disk, and garbage-collects
 /// older ones once a new pointer manifest is durable.
 #[derive(Debug)]
 pub struct PeCheckpointer {

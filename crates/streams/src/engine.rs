@@ -15,7 +15,7 @@
 //! tuples. Each edge flushes adaptively (threshold reached, downstream
 //! idle, scheduler about to block) and *immediately* for control tuples and
 //! punctuation, so synchronization latency is never batched away; see
-//! [`RemoteEdge`] for the exact policy. Delivery order per edge is
+//! `RemoteEdge` for the exact policy. Delivery order per edge is
 //! unchanged from per-tuple transport (frames preserve FIFO), and link
 //! metrics stay tuple-denominated.
 //!
@@ -31,13 +31,13 @@
 //! resumes where it left off — the in-flight data tuple is redelivered
 //! exactly once — while an unrecoverable one is finished so its
 //! end-of-stream still propagates and the rest of the graph drains
-//! normally. Restart counts surface as `restarts` in
+//! normally. Restart counts surface as [`Fault::Restarts`] in
 //! [`OpSnapshot`]/[`RunReport`].
 //!
 //! **PE-level.** A panic that escapes the operator layer — a source's
 //! `drive` blowing up, or an injected `kill-pe` fault — unwinds the PE's
 //! scheduler loop itself. The PE's channels, in-flight tuples and operator
-//! slots live *outside* that unwind (in [`PeRuntime`], owned across the
+//! slots live *outside* that unwind (in `PeRuntime`, owned across the
 //! `catch_unwind`), so the supervisor tears the PE down and rebuilds it in
 //! place: every [`crate::checkpoint::Checkpoint`]-able operator is
 //! rehydrated from the PE's snapshot manifest (written periodically at the
@@ -45,7 +45,7 @@
 //! teardown so recovery round-trips consistent state through disk), cross-PE
 //! frame channels reconnect untouched (no tuple is lost or duplicated: the
 //! pending queue and edge buffers survive in `PeRuntime`), and the loop
-//! re-enters. PE restarts count as `pe_restarts` on every member operator
+//! re-enters. PE restarts count as [`Fault::PeRestarts`] on every member operator
 //! and are bounded by the same [`RestartPolicy`] as operator restarts.
 //!
 //! Deterministic faults (panic/kill-pe/poison/stall on operators,
@@ -67,7 +67,9 @@
 use crate::checkpoint::{self, PeCheckpointer};
 use crate::fault::{FaultAction, FaultTarget, RestartPolicy};
 use crate::graph::{GraphBuilder, LinkKind, PortKind};
-use crate::metrics::{LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot};
+use crate::metrics::{
+    Fault, FaultCounts, LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot,
+};
 use crate::netio::{AckMode, NetTransport};
 use crate::operator::{EmitSink, OpContext, Operator, SourceState};
 use crate::tuple::{DataTuple, Frame, FramePool, Punctuation, Tuple};
@@ -446,53 +448,31 @@ impl RunReport {
             .sum()
     }
 
-    /// Total supervisor restarts across all operators. Zero in a fault-free
-    /// run; benchmark artifacts are rejected when this is nonzero.
+    /// Fault counts summed over every operator — the totals the CLI fault
+    /// summary prints and `/metrics` serves.
+    pub fn faults(&self) -> FaultCounts {
+        FaultCounts::sum(&self.ops)
+    }
+
+    /// `faults()[Fault::Restarts]`, kept by name for the benchmark harness.
     pub fn total_restarts(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.restarts).sum()
+        self.faults()[Fault::Restarts]
     }
 
-    /// Total whole-PE restarts, summed over operators (each member of a
-    /// restarted PE counts the restart it lived through). Zero in a
-    /// fault-free run; benchmark artifacts are rejected when this is
-    /// nonzero.
+    /// `faults()[Fault::PeRestarts]`, kept by name for the benchmark harness.
     pub fn total_pe_restarts(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.pe_restarts).sum()
+        self.faults()[Fault::PeRestarts]
     }
 
-    /// Total tuples diverted to quarantine across all operators.
-    pub fn total_quarantined(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.quarantined).sum()
-    }
-
-    /// Total skipped synchronization steps across all operators.
+    /// `faults()[Fault::SyncSkips]`, kept by name for the benchmark harness.
     pub fn total_sync_skips(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.sync_skips).sum()
+        self.faults()[Fault::SyncSkips]
     }
 
-    /// Total storage faults survived across all operators.
-    pub fn total_io_faults(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.io_faults).sum()
-    }
-
-    /// Total checkpoint/state files quarantined aside as `*.corrupt-N`.
-    pub fn total_quarantined_snapshots(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.quarantined_snapshots).sum()
-    }
-
-    /// Total periodic checkpoints skipped because the write failed.
+    /// `faults()[Fault::CheckpointSkips]`, kept by name for the benchmark
+    /// harness.
     pub fn total_checkpoint_skips(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.checkpoint_skips).sum()
-    }
-
-    /// Total elastic scale-out events (engines admitted into the fleet).
-    pub fn total_scale_outs(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.scale_outs).sum()
-    }
-
-    /// Total elastic scale-in events (engines retired from the fleet).
-    pub fn total_scale_ins(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.scale_ins).sum()
+        self.faults()[Fault::CheckpointSkips]
     }
 }
 
@@ -1266,7 +1246,7 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
                     "[supervisor] PE {pe_index} teardown checkpoint failed ({e}); \
                      recovering from the last durable generation"
                 );
-                slots[0].counters.add_io_faults(1);
+                slots[0].counters.add(Fault::IoFaults, 1);
             }
         }
         // Degrading recovery: a torn or bit-rotted manifest/blob is
@@ -1287,8 +1267,10 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
             );
             slots[0]
                 .counters
-                .add_quarantined_snapshots(recovery.quarantined);
-            slots[0].counters.add_io_faults(recovery.quarantined.max(1));
+                .add(Fault::QuarantinedSnapshots, recovery.quarantined);
+            slots[0]
+                .counters
+                .add(Fault::IoFaults, recovery.quarantined.max(1));
         }
         // With no usable set (never checkpointed, or everything
         // quarantined) the in-memory state stands.
@@ -1322,7 +1304,7 @@ fn restart_pe(pe: &mut PeRuntime, clean: bool) -> bool {
         }
     }
     for s in slots.iter() {
-        s.counters.add_pe_restart();
+        s.counters.add(Fault::PeRestarts, 1);
     }
     true
 }
@@ -1570,8 +1552,8 @@ fn run_pe_once(pe: &mut PeRuntime) {
                              backing off to a {}x window",
                             1u64 << (*ckpt_failures).min(6)
                         );
-                        slots[0].counters.add_checkpoint_skip();
-                        slots[0].counters.add_io_faults(1);
+                        slots[0].counters.add(Fault::CheckpointSkips, 1);
+                        slots[0].counters.add(Fault::IoFaults, 1);
                     }
                 }
             }
@@ -1969,7 +1951,7 @@ fn handle_panic(
     match recovered {
         Ok(true) => {
             slots[idx].restart_attempts = attempt;
-            slots[idx].counters.add_restart();
+            slots[idx].counters.add(Fault::Restarts, 1);
             if let Some(d) = retry {
                 // Redeliver the in-flight tuple exactly once: a tuple whose
                 // retry panics again is a poison pill and is dropped.
@@ -2322,8 +2304,8 @@ mod tests {
         let data = seen.lock().clone();
         assert_eq!(data.len(), 1000, "kill-pe must not lose or duplicate");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
-        assert_eq!(report.op("double").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("src").unwrap().pe_restarts, 0);
+        assert_eq!(report.op("double").unwrap().faults[Fault::PeRestarts], 1);
+        assert_eq!(report.op("src").unwrap().faults[Fault::PeRestarts], 0);
         assert_eq!(report.total_pe_restarts(), 1);
         // Operator-level restarts are a different counter and stay zero.
         assert_eq!(report.total_restarts(), 0);
@@ -2348,9 +2330,9 @@ mod tests {
         let report = Engine::run(g);
         assert_eq!(seen.lock().len(), 200);
         // Both fused members lived through the same PE restart.
-        assert_eq!(report.op("double").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("collect").unwrap().pe_restarts, 1);
-        assert_eq!(report.op("src").unwrap().pe_restarts, 0);
+        assert_eq!(report.op("double").unwrap().faults[Fault::PeRestarts], 1);
+        assert_eq!(report.op("collect").unwrap().faults[Fault::PeRestarts], 1);
+        assert_eq!(report.op("src").unwrap().faults[Fault::PeRestarts], 0);
     }
 
     /// A source with a durable cursor: emits `0..n`, checkpointing `next`.
@@ -2433,7 +2415,7 @@ mod tests {
         let data = seen.lock().clone();
         assert_eq!(data.len(), 500, "restored cursor must not skip or repeat");
         assert!(data.windows(2).all(|w| w[1] == w[0] + 1), "order violated");
-        assert_eq!(report.op("src").unwrap().pe_restarts, 1);
+        assert_eq!(report.op("src").unwrap().faults[Fault::PeRestarts], 1);
         // The teardown manifest is on disk and names the durable source.
         let manifest = crate::checkpoint::read_pe_manifest(&dir, 0)
             .unwrap()
@@ -2520,7 +2502,7 @@ mod tests {
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         let data = seen.lock().clone();
-        assert_eq!(report.op("src").unwrap().pe_restarts, 1);
+        assert_eq!(report.op("src").unwrap().faults[Fault::PeRestarts], 1);
         // The cursor rewound to a checkpoint at or before tuple 30: every
         // value 0..100 is present (no loss), duplicates only inside the
         // rewind window.
@@ -2563,7 +2545,7 @@ mod tests {
         g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         assert!(seen.lock().is_empty());
-        assert_eq!(report.op("bad").unwrap().pe_restarts, 2);
+        assert_eq!(report.op("bad").unwrap().faults[Fault::PeRestarts], 2);
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! `kill-pe` targets an *operator* (PE indices depend on fusion resolution
 //! order and would make plans fragile): the fault tears down the entire
 //! processing element that operator was fused into. The PE-level supervisor
-//! then rebuilds every operator in the PE from its [`Checkpoint`]
-//! (crate::checkpoint::Checkpoint) snapshot; see the engine docs.
+//! then rebuilds every operator in the PE from its
+//! [`Checkpoint`](crate::checkpoint::Checkpoint) snapshot; see the engine docs.
 //!
 //! Tuple indices `N` are 1-based and count *data* tuples only — control
 //! traffic and punctuation are never faulted (a plan that corrupted EOS

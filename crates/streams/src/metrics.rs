@@ -4,11 +4,127 @@
 //! the application. The profiling tool measures the performance of each
 //! component and the data channels traffic." These registries expose the
 //! same signals: tuple counts in/out and busy time per operator, tuple and
-//! byte counts per link, all lock-free (`AtomicU64` with relaxed ordering —
-//! counters need atomicity, not ordering).
+//! byte counts per link, plus one counter per [`Fault`] row, all lock-free
+//! (`AtomicU64` with relaxed ordering — counters need atomicity, not
+//! ordering).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One fault counter: a row of the table that [`OpCounters`],
+/// [`OpSnapshot`], the `/metrics` body and the CLI fault summary all
+/// derive from. Adding a counter is a variant, its arm in `names` and its
+/// entry at the end of [`Fault::ALL`] (scrapers read the summary by
+/// position).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Supervisor restarts after an isolated operator panic.
+    Restarts,
+    /// Whole-PE restarts this operator lived through (the hosting thread
+    /// died and every fused operator was rebuilt from its checkpoint).
+    PeRestarts,
+    /// Tuples diverted to quarantine (non-finite payloads).
+    Quarantined,
+    /// Synchronization steps skipped (gate not passed / engine not alive).
+    SyncSkips,
+    /// Storage faults survived (failed checkpoint writes, damaged files
+    /// discovered at recovery, state-store quarantines).
+    IoFaults,
+    /// Checkpoint/manifest/state files quarantined aside as `*.corrupt-N`
+    /// after failing structural validation.
+    QuarantinedSnapshots,
+    /// Periodic PE checkpoints skipped because the write failed (ENOSPC,
+    /// fsync error, dead device) — the PE keeps running and backs off.
+    CheckpointSkips,
+    /// Elastic scale-out events (engines admitted into the active fleet).
+    ScaleOuts,
+    /// Elastic scale-in events (engines retired from the active fleet).
+    ScaleIns,
+}
+
+/// Number of [`Fault`] rows.
+const N_FAULTS: usize = 9;
+
+impl Fault {
+    /// Every counter, in report order.
+    pub const ALL: [Fault; N_FAULTS] = [
+        Fault::Restarts,
+        Fault::PeRestarts,
+        Fault::Quarantined,
+        Fault::SyncSkips,
+        Fault::IoFaults,
+        Fault::QuarantinedSnapshots,
+        Fault::CheckpointSkips,
+        Fault::ScaleOuts,
+        Fault::ScaleIns,
+    ];
+
+    /// `(/metrics name, fault-summary label)` of this row.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Fault::Restarts => ("spca_restarts", "operator restarts"),
+            Fault::PeRestarts => ("spca_pe_restarts", "PE restarts (operator-weighted)"),
+            Fault::Quarantined => ("spca_quarantined", "quarantined tuples"),
+            Fault::SyncSkips => ("spca_sync_skips", "skipped syncs"),
+            Fault::IoFaults => ("spca_io_faults", "storage faults absorbed"),
+            Fault::QuarantinedSnapshots => ("spca_quarantined_snapshots", "quarantined snapshots"),
+            Fault::CheckpointSkips => ("spca_checkpoint_skips", "skipped checkpoints"),
+            Fault::ScaleOuts => ("spca_scale_outs", "scale-outs"),
+            Fault::ScaleIns => ("spca_scale_ins", "scale-ins"),
+        }
+    }
+
+    /// The counter's name in the `/metrics` body (`spca_restarts`, …).
+    pub fn metric_name(self) -> &'static str {
+        self.names().0
+    }
+
+    /// The counter's label in the CLI fault summary (`operator restarts`, …).
+    pub fn label(self) -> &'static str {
+        self.names().1
+    }
+}
+
+/// One count per [`Fault`] row, indexed by `Fault`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounts([u64; N_FAULTS]);
+
+impl FaultCounts {
+    /// Sums the counts over operator snapshots — a finished run's
+    /// `RunReport::ops` or a live `RunningEngine::op_snapshots`.
+    pub fn sum(ops: &[(String, OpSnapshot)]) -> Self {
+        FaultCounts(std::array::from_fn(|i| {
+            ops.iter().map(|(_, s)| s.faults.0[i]).sum()
+        }))
+    }
+
+    /// The CLI's one-line fault summary (`fault summary: 0 operator
+    /// restarts, 1 PE restarts (operator-weighted), …`), or `None` when
+    /// every count is zero.
+    pub fn summary(&self) -> Option<String> {
+        if *self == FaultCounts::default() {
+            return None;
+        }
+        let rows: Vec<String> = Fault::ALL
+            .iter()
+            .map(|&f| format!("{} {}", self[f], f.label()))
+            .collect();
+        Some(format!("fault summary: {}", rows.join(", ")))
+    }
+}
+
+impl std::ops::Index<Fault> for FaultCounts {
+    type Output = u64;
+    fn index(&self, f: Fault) -> &u64 {
+        &self.0[f as usize]
+    }
+}
+
+impl std::ops::IndexMut<Fault> for FaultCounts {
+    fn index_mut(&mut self, f: Fault) -> &mut u64 {
+        &mut self.0[f as usize]
+    }
+}
 
 /// Live counters for one operator.
 #[derive(Debug, Default)]
@@ -21,28 +137,8 @@ pub struct OpCounters {
     pub control_in: AtomicU64,
     /// Nanoseconds spent inside `process`/`on_control`.
     pub busy_ns: AtomicU64,
-    /// Supervisor restarts after an isolated panic.
-    pub restarts: AtomicU64,
-    /// Whole-PE restarts this operator lived through (the hosting thread
-    /// died and every fused operator was rebuilt from its checkpoint).
-    pub pe_restarts: AtomicU64,
-    /// Tuples diverted to quarantine (non-finite payloads).
-    pub quarantined: AtomicU64,
-    /// Synchronization steps skipped (gate not passed / engine not alive).
-    pub sync_skips: AtomicU64,
-    /// Storage faults survived (failed checkpoint writes, damaged files
-    /// discovered at recovery, state-store quarantines).
-    pub io_faults: AtomicU64,
-    /// Checkpoint/manifest/state files quarantined aside as `*.corrupt-N`
-    /// after failing structural validation.
-    pub quarantined_snapshots: AtomicU64,
-    /// Periodic PE checkpoints skipped because the write failed (ENOSPC,
-    /// fsync error, dead device) — the PE keeps running and backs off.
-    pub checkpoint_skips: AtomicU64,
-    /// Elastic scale-out events (engines admitted into the active fleet).
-    pub scale_outs: AtomicU64,
-    /// Elastic scale-in events (engines retired from the active fleet).
-    pub scale_ins: AtomicU64,
+    /// One counter per [`Fault`] row.
+    pub faults: [AtomicU64; N_FAULTS],
 }
 
 /// Live counters for one cross-PE link.
@@ -65,24 +161,8 @@ pub struct OpSnapshot {
     pub control_in: u64,
     /// Nanoseconds of busy time.
     pub busy_ns: u64,
-    /// Supervisor restarts after an isolated panic.
-    pub restarts: u64,
-    /// Whole-PE restarts this operator lived through.
-    pub pe_restarts: u64,
-    /// Tuples diverted to quarantine (non-finite payloads).
-    pub quarantined: u64,
-    /// Synchronization steps skipped (gate not passed / engine not alive).
-    pub sync_skips: u64,
-    /// Storage faults survived.
-    pub io_faults: u64,
-    /// Files quarantined aside as `*.corrupt-N`.
-    pub quarantined_snapshots: u64,
-    /// Periodic checkpoints skipped because the write failed.
-    pub checkpoint_skips: u64,
-    /// Elastic scale-out events (engines admitted).
-    pub scale_outs: u64,
-    /// Elastic scale-in events (engines retired).
-    pub scale_ins: u64,
+    /// Fault counts, indexed by [`Fault`].
+    pub faults: FaultCounts,
 }
 
 /// Immutable snapshot of one link's counters.
@@ -102,15 +182,7 @@ impl OpCounters {
             tuples_out: self.tuples_out.load(Ordering::Relaxed),
             control_in: self.control_in.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            pe_restarts: self.pe_restarts.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            sync_skips: self.sync_skips.load(Ordering::Relaxed),
-            io_faults: self.io_faults.load(Ordering::Relaxed),
-            quarantined_snapshots: self.quarantined_snapshots.load(Ordering::Relaxed),
-            checkpoint_skips: self.checkpoint_skips.load(Ordering::Relaxed),
-            scale_outs: self.scale_outs.load(Ordering::Relaxed),
-            scale_ins: self.scale_ins.load(Ordering::Relaxed),
+            faults: FaultCounts(self.faults.each_ref().map(|c| c.load(Ordering::Relaxed))),
         }
     }
 
@@ -130,40 +202,9 @@ impl OpCounters {
         self.busy_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_pe_restart(&self) {
-        self.pe_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_quarantined(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_sync_skip(&self) {
-        self.sync_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_io_faults(&self, n: u64) {
-        self.io_faults.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_quarantined_snapshots(&self, n: u64) {
-        self.quarantined_snapshots.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_checkpoint_skip(&self) {
-        self.checkpoint_skips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_scale_out(&self) {
-        self.scale_outs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_scale_in(&self) {
-        self.scale_ins.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to the `fault` counter.
+    pub(crate) fn add(&self, fault: Fault, n: u64) {
+        self.faults[fault as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -360,6 +401,58 @@ mod tests {
         assert_eq!(s.tuples_out, 1);
         assert_eq!(s.control_in, 1);
         assert_eq!(s.busy_ns, 500);
+    }
+
+    #[test]
+    fn fault_rows_index_in_table_order() {
+        for (i, f) in Fault::ALL.into_iter().enumerate() {
+            assert_eq!(f as usize, i, "{f:?}");
+        }
+        let c = OpCounters::default();
+        c.add(Fault::PeRestarts, 1);
+        c.add(Fault::IoFaults, 3);
+        c.add(Fault::IoFaults, 2);
+        let s = c.snapshot();
+        assert_eq!(s.faults[Fault::PeRestarts], 1);
+        assert_eq!(s.faults[Fault::IoFaults], 5);
+        assert_eq!(s.faults[Fault::Restarts], 0);
+        let ops = [("a".to_string(), s), ("b".to_string(), s)];
+        assert_eq!(FaultCounts::sum(&ops)[Fault::IoFaults], 10);
+    }
+
+    /// The summary line is byte-for-byte what the CLI printed before the
+    /// fault table existed; scrapers read its positions.
+    #[test]
+    fn fault_summary_golden() {
+        let mut c = FaultCounts::default();
+        assert_eq!(c.summary(), None);
+        c[Fault::Restarts] = 1;
+        c[Fault::PeRestarts] = 2;
+        c[Fault::Quarantined] = 3;
+        c[Fault::SyncSkips] = 4;
+        c[Fault::IoFaults] = 5;
+        c[Fault::QuarantinedSnapshots] = 6;
+        c[Fault::CheckpointSkips] = 7;
+        c[Fault::ScaleOuts] = 8;
+        c[Fault::ScaleIns] = 9;
+        assert_eq!(
+            c.summary().as_deref(),
+            Some(
+                "fault summary: 1 operator restarts, 2 PE restarts (operator-weighted), \
+                 3 quarantined tuples, 4 skipped syncs, 5 storage faults absorbed, \
+                 6 quarantined snapshots, 7 skipped checkpoints, 8 scale-outs, 9 scale-ins"
+            )
+        );
+        let mut only_last = FaultCounts::default();
+        only_last[Fault::ScaleIns] = 1;
+        assert_eq!(
+            only_last.summary().as_deref(),
+            Some(
+                "fault summary: 0 operator restarts, 0 PE restarts (operator-weighted), \
+                 0 quarantined tuples, 0 skipped syncs, 0 storage faults absorbed, \
+                 0 quarantined snapshots, 0 skipped checkpoints, 0 scale-outs, 1 scale-ins"
+            )
+        );
     }
 
     #[test]

@@ -155,8 +155,8 @@ struct Outgoing {
 ///
 /// Construction order: [`bind`](NetTransport::bind) early (so the local
 /// address can be exchanged), register links while wiring the engine
-/// graph, then [`start`](NetTransport::start). [`shutdown`]
-/// (NetTransport::shutdown) reaps every thread; it is idempotent.
+/// graph, then [`start`](NetTransport::start).
+/// [`shutdown`](NetTransport::shutdown) reaps every thread; it is idempotent.
 pub struct NetTransport {
     listener: TcpListener,
     local: SocketAddr,

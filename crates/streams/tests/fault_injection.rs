@@ -4,6 +4,7 @@
 //! fault window, and end-of-stream always propagates — a dead operator
 //! never wedges the graph.
 
+use spca_streams::metrics::Fault;
 use spca_streams::ops::{CollectSink, GeneratorSource};
 use spca_streams::{
     Checkpoint, ControlTuple, DataTuple, Engine, FaultPlan, GraphBuilder, OpContext, Operator,
@@ -108,7 +109,7 @@ fn supervised_restart_is_loss_bounded() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "each seq exactly once");
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 11);
+    assert_eq!(op_snapshot(&report, "flaky").faults[Fault::Restarts], 11);
     assert_eq!(report.total_restarts(), 11);
 }
 
@@ -133,7 +134,7 @@ fn unrecoverable_operator_finishes_and_eos_propagates() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 9, "nine forwards before the fatal call");
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 0);
+    assert_eq!(op_snapshot(&report, "flaky").faults[Fault::Restarts], 0);
 }
 
 #[test]
@@ -157,7 +158,7 @@ fn restart_budget_caps_supervision() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 6);
-    assert_eq!(op_snapshot(&report, "flaky").restarts, 2);
+    assert_eq!(op_snapshot(&report, "flaky").faults[Fault::Restarts], 2);
 }
 
 #[test]
@@ -177,7 +178,7 @@ fn injected_panic_fires_after_the_tuple_is_processed() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 30);
-    assert_eq!(op_snapshot(&report, "fwd").restarts, 0);
+    assert_eq!(op_snapshot(&report, "fwd").faults[Fault::Restarts], 0);
 }
 
 #[test]
@@ -198,7 +199,7 @@ fn injected_panic_with_recovery_loses_nothing() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>());
-    assert_eq!(op_snapshot(&report, "fwd").restarts, 1);
+    assert_eq!(op_snapshot(&report, "fwd").faults[Fault::Restarts], 1);
 }
 
 #[test]
@@ -330,7 +331,7 @@ fn control_panic_recovers_without_redelivery() {
     let report = Engine::run(g);
 
     assert_eq!(store.lock().len(), 10);
-    assert_eq!(op_snapshot(&report, "op").restarts, 1);
+    assert_eq!(op_snapshot(&report, "op").faults[Fault::Restarts], 1);
 }
 
 #[test]
@@ -428,10 +429,10 @@ fn kill_pe_mid_graph_rehydrates_and_loses_nothing() {
     );
     // Only the killed PE's members count the restart; operator-level
     // supervision never fired.
-    assert_eq!(op_snapshot(&report, "ctr").pe_restarts, 1);
-    assert_eq!(op_snapshot(&report, "fwd").pe_restarts, 1);
-    assert_eq!(op_snapshot(&report, "src").pe_restarts, 0);
-    assert_eq!(op_snapshot(&report, "sink").pe_restarts, 0);
+    assert_eq!(op_snapshot(&report, "ctr").faults[Fault::PeRestarts], 1);
+    assert_eq!(op_snapshot(&report, "fwd").faults[Fault::PeRestarts], 1);
+    assert_eq!(op_snapshot(&report, "src").faults[Fault::PeRestarts], 0);
+    assert_eq!(op_snapshot(&report, "sink").faults[Fault::PeRestarts], 0);
     assert_eq!(report.total_pe_restarts(), 2);
     assert_eq!(report.total_restarts(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -459,7 +460,7 @@ fn kill_pe_without_checkpoint_dir_still_finishes_loss_free() {
     let mut seqs: Vec<u64> = collected.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..100).collect::<Vec<_>>());
-    assert_eq!(op_snapshot(&report, "fwd").pe_restarts, 1);
+    assert_eq!(op_snapshot(&report, "fwd").faults[Fault::PeRestarts], 1);
 }
 
 /// Like [`DurableCounter`] but checkpointing every 10 tuples, so short
@@ -564,8 +565,8 @@ fn enospc_skips_the_checkpoint_and_the_run_completes() {
     // the stream itself never notices.
     let (report, _) = run_disk_fault_matrix("enospc", "io-enospc@pe:1", 300, true);
     assert!(report.total_checkpoint_skips() >= 1);
-    assert!(report.total_io_faults() >= 1);
-    assert_eq!(report.total_quarantined_snapshots(), 0);
+    assert!(report.faults()[Fault::IoFaults] >= 1);
+    assert_eq!(report.faults()[Fault::QuarantinedSnapshots], 0);
 }
 
 #[test]
@@ -578,7 +579,10 @@ fn fsync_failure_degrades_to_skips_never_a_panic() {
         report.total_checkpoint_skips() >= 1,
         "every checkpoint attempt fails, so at least one skip: {report:?}"
     );
-    assert_eq!(report.total_io_faults(), report.total_checkpoint_skips());
+    assert_eq!(
+        report.faults()[Fault::IoFaults],
+        report.total_checkpoint_skips()
+    );
 }
 
 #[test]
@@ -588,7 +592,7 @@ fn dead_device_mid_run_degrades_to_skips() {
     // still completes loss-free.
     let (report, _) = run_disk_fault_matrix("crash", "io-crash@op:4", 300, true);
     assert!(report.total_checkpoint_skips() >= 1);
-    assert!(report.total_io_faults() >= 1);
+    assert!(report.faults()[Fault::IoFaults] >= 1);
 }
 
 #[test]
@@ -601,10 +605,10 @@ fn kill_pe_with_torn_checkpoints_quarantines_and_still_delivers() {
     let plan = format!("kill-pe@ctr:40,{}", torn.join(","));
     let (report, restored) = run_disk_fault_matrix("torn", &plan, 100, false);
     assert!(
-        report.total_quarantined_snapshots() >= 1,
+        report.faults()[Fault::QuarantinedSnapshots] >= 1,
         "torn manifests must be quarantined at recovery: {report:?}"
     );
-    assert!(report.total_io_faults() >= 1);
+    assert!(report.faults()[Fault::IoFaults] >= 1);
     assert!(report.total_pe_restarts() >= 1);
     assert!(
         !restored.load(Ordering::SeqCst),

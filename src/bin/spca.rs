@@ -19,12 +19,13 @@ use astro_stream_pca::cluster::{ClusterSim, ClusterSpec, CostModel, Placement, S
 use astro_stream_pca::core::PcaConfig;
 use astro_stream_pca::engine::{
     persist, AppConfig, AppHandles, DistSpec, EigenQueryHandler, ElasticRuntime, ElasticSupervisor,
-    EpochStore, FaultCounters, ParallelPcaApp, ScaleEvent, ServeShared, SyncStrategy,
+    EpochStore, ParallelPcaApp, ScaleEvent, ServeShared, SyncStrategy,
 };
 use astro_stream_pca::spectra::contaminants::{self, ContaminantKind};
 use astro_stream_pca::spectra::io;
 use astro_stream_pca::spectra::normalize::unit_norm_masked;
 use astro_stream_pca::spectra::GalaxyGenerator;
+use astro_stream_pca::streams::metrics::FaultCounts;
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
 use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
 use astro_stream_pca::streams::{Engine, Operator};
@@ -471,7 +472,8 @@ fn parse_serve_addr(flag: &str, addr: &str) -> Result<std::net::SocketAddr, Stri
 
 /// Server worker-pool size validation, shared by `run --serve-threads`
 /// and `serve --threads`. Each worker claims one epoch-store reader
-/// slot, so the pool is bounded by [`MAX_READERS`] — rejected here
+/// slot, so the pool is bounded by
+/// [`MAX_READERS`](astro_stream_pca::engine::epoch::MAX_READERS) — rejected here
 /// instead of panicking inside the handler factory at server start.
 fn validate_serve_threads(flag: &str, threads: usize) -> Result<(), String> {
     use astro_stream_pca::engine::epoch::MAX_READERS;
@@ -536,11 +538,11 @@ fn run_mirroring_counters(
 ) -> astro_stream_pca::streams::RunReport {
     let running = Engine::start(graph);
     while !running.is_finished() {
-        shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
+        shared.set_counters(FaultCounts::sum(&running.op_snapshots()));
         std::thread::sleep(Duration::from_millis(100));
     }
     let report = running.join();
-    shared.set_counters(FaultCounters::from_report(&report));
+    shared.set_counters(report.faults());
     report
 }
 
@@ -567,13 +569,13 @@ fn run_elastic(
             );
         }
         if let Some(shared) = shared {
-            shared.set_counters(FaultCounters::from_op_snapshots(&running.op_snapshots()));
+            shared.set_counters(FaultCounts::sum(&running.op_snapshots()));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     let report = running.join();
     if let Some(shared) = shared {
-        shared.set_counters(FaultCounters::from_report(&report));
+        shared.set_counters(report.faults());
     }
     (report, supervisor.events.clone())
 }
@@ -728,37 +730,8 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         report.elapsed.as_secs_f64(),
         consumed as f64 / report.elapsed.as_secs_f64().max(1e-9)
     );
-    let (restarts, pe_restarts, quarantined, sync_skips) = (
-        report.total_restarts(),
-        report.total_pe_restarts(),
-        report.total_quarantined(),
-        report.total_sync_skips(),
-    );
-    let (io_faults, quarantined_snapshots, checkpoint_skips) = (
-        report.total_io_faults(),
-        report.total_quarantined_snapshots(),
-        report.total_checkpoint_skips(),
-    );
-    let (scale_outs, scale_ins) = (report.total_scale_outs(), report.total_scale_ins());
-    if restarts
-        + pe_restarts
-        + quarantined
-        + sync_skips
-        + io_faults
-        + quarantined_snapshots
-        + checkpoint_skips
-        + scale_outs
-        + scale_ins
-        > 0
-    {
-        println!(
-            "fault summary: {restarts} operator restarts, {pe_restarts} PE restarts \
-             (operator-weighted), {quarantined} quarantined tuples, \
-             {sync_skips} skipped syncs, {io_faults} storage faults absorbed, \
-             {quarantined_snapshots} quarantined snapshots, \
-             {checkpoint_skips} skipped checkpoints, \
-             {scale_outs} scale-outs, {scale_ins} scale-ins"
-        );
+    if let Some(summary) = report.faults().summary() {
+        println!("{summary}");
     }
     if elastic_epoch_ms.is_some() {
         let outs = scale_events.iter().filter(|e| e.action > 0).count();
