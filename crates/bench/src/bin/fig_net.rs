@@ -29,8 +29,9 @@ use rand::SeedableRng;
 use spca_bench::json::{write_artifact, Json};
 use spca_bench::print_table;
 use spca_engine::{run_coordinator, run_local, DistSpec};
+use spca_spectra::io::{parse_row_into, write_row};
 use spca_spectra::PlantedSubspace;
-use spca_streams::ops::CsvFileSource;
+use spca_streams::ops::LineSource;
 use spca_streams::{
     decode_frame, encode_frame, ColumnarFrame, DataTuple, Tuple, DEFAULT_BATCH_SIZE,
 };
@@ -160,10 +161,10 @@ fn bench_codec(tuples: &[Tuple]) -> CodecNumbers {
 }
 
 /// The wire path the codec replaced: full-precision CSV text, one
-/// observation per line, `nan` marking gaps, parsed back exactly the way
-/// `CsvFileSource` parses its input.
+/// observation per line, `nan` marking gaps, written and parsed back by
+/// the row format every line source uses ([`spca_spectra::io`]).
 fn bench_csv(tuples: &[Tuple]) -> f64 {
-    let mut text = String::new();
+    let mut text: Vec<u8> = Vec::new();
     let mut values: Vec<f64> = Vec::new();
     let mut mask: Vec<bool> = Vec::new();
     let mut sink = 0usize;
@@ -175,37 +176,12 @@ fn bench_csv(tuples: &[Tuple]) -> f64 {
             text.clear();
             for t in tuples {
                 let Tuple::Data(d) = t else { unreachable!() };
-                for (j, v) in d.values.iter().enumerate() {
-                    if j > 0 {
-                        text.push(',');
-                    }
-                    let present = d.mask.as_ref().is_none_or(|m| m[j]);
-                    if present {
-                        write!(text, "{v}").expect("format");
-                    } else {
-                        text.push_str("nan");
-                    }
-                }
-                text.push('\n');
+                write_row(&mut text, &d.values, d.mask.as_deref().map(Vec::as_slice))
+                    .expect("format");
             }
-            for line in text.lines() {
-                values.clear();
-                mask.clear();
-                let mut any_missing = false;
-                for field in line.trim().split(',') {
-                    match field.trim().parse::<f64>() {
-                        Ok(v) if v.is_finite() => {
-                            values.push(v);
-                            mask.push(true);
-                        }
-                        _ => {
-                            values.push(0.0);
-                            mask.push(false);
-                            any_missing = true;
-                        }
-                    }
-                }
-                sink += values.len() + any_missing as usize;
+            for line in std::str::from_utf8(&text).expect("UTF-8").lines() {
+                let all_observed = parse_row_into(line, &mut values, &mut mask);
+                sink += values.len() + (all_observed == Some(false)) as usize;
             }
         }
         if timed {
@@ -312,7 +288,7 @@ fn bench_distributed(tmp: &Path) -> DistNumbers {
     std::fs::create_dir_all(&snap_dist).expect("mkdir");
 
     let t0 = Instant::now();
-    let local = run_local(&spec(&snap_local), Box::new(CsvFileSource::new(&corpus)));
+    let local = run_local(&spec(&snap_local), Box::new(LineSource::new(&corpus)));
     let t_local = t0.elapsed().as_secs_f64();
     assert_eq!(
         local.op("split").map(|o| o.tuples_in),

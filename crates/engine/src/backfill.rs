@@ -27,6 +27,7 @@
 
 use crate::persist::{decode_snapshot, encode_snapshot};
 use spca_core::{EigenSystem, PcaConfig, RobustPca};
+use spca_spectra::io::{data_text, parse_row_into};
 use spca_streams::backfill::{content_hash, run_partitions, BackfillStats, Partition, StateStore};
 use std::io;
 use std::ops::Range;
@@ -78,8 +79,7 @@ pub fn partition_csv_rows(path: &Path, parts: usize) -> io::Result<Vec<Partition
     let mut row_starts: Vec<usize> = Vec::new();
     let mut offset = 0;
     for line in text.split_inclusive('\n') {
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('#') {
+        if data_text(line).is_some() {
             row_starts.push(offset);
         }
         offset += line.len();
@@ -168,35 +168,24 @@ impl PartitionWorker {
 
     /// Feeds one CSV line; blank and comment lines are skipped. Missing
     /// bins (`nan` / unparsable fields) go through the masked update.
-    pub fn feed_line(&mut self, line: &str) -> io::Result<()> {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Ok(());
-        }
-        self.values.clear();
-        self.mask.clear();
-        let mut all_observed = true;
-        for field in trimmed.split(',') {
-            match field.trim().parse::<f64>() {
-                Ok(v) if v.is_finite() => {
-                    self.values.push(v);
-                    self.mask.push(true);
-                }
-                _ => {
-                    self.values.push(0.0);
-                    self.mask.push(false);
-                    all_observed = false;
-                }
-            }
-        }
+    /// Returns whether the line was a data row.
+    pub fn feed_line(&mut self, line: &str) -> io::Result<bool> {
+        let Some(all_observed) = parse_row_into(line, &mut self.values, &mut self.mask) else {
+            return Ok(false);
+        };
         let result = if all_observed {
             self.pca.update(&self.values)
         } else {
             self.pca.update_masked(&self.values, &self.mask)
         };
         result
-            .map(|_| ())
+            .map(|_| true)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    }
+
+    /// The last data row fed: its values (gaps as `0.0`) and mask.
+    pub fn row(&self) -> (&[f64], &[bool]) {
+        (&self.values, &self.mask)
     }
 
     /// Runs one whole partition: reset, feed every row, return the full

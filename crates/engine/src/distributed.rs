@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use spca_core::PcaConfig;
 use spca_streams::engine::RunningEngine;
-use spca_streams::ops::{CsvFileSource, GeneratorSource, SplitStrategy};
+use spca_streams::ops::{GeneratorSource, LineSource, SplitStrategy};
 use spca_streams::{Engine, GraphBuilder, NetPartition, NetTransport, Operator, RunReport};
 
 use crate::app::{AppConfig, AppHandles, ParallelPcaApp};
@@ -580,7 +580,7 @@ pub fn run_coordinator(
     // Run the coordinator's own partition. join() blocks until the monitor
     // and snapshot-writer have drained (EOS from every engine over the
     // wire) and then flushes final acks while shutting the transport down.
-    let source = Box::new(CsvFileSource::new(input));
+    let source = Box::new(LineSource::new(input));
     let (g, _handles) = spec.build(source);
     let part = coordinator_partition(&spec, &g, Arc::clone(&net));
     let running = Engine::start_in_partition(g, part);

@@ -12,7 +12,7 @@ use spca_engine::{
     PartitionWorker, SyncStrategy,
 };
 use spca_spectra::{io, PlantedSubspace};
-use spca_streams::ops::CsvFileSource;
+use spca_streams::ops::LineSource;
 use spca_streams::Engine;
 use std::path::PathBuf;
 
@@ -223,7 +223,7 @@ fn splice_resumes_bit_identically_from_memory_and_disk() {
         let mut app = AppConfig::new(1, pca_cfg());
         app.sync = SyncStrategy::None;
         app.warm_start = Some(warm);
-        let (graph, handles) = ParallelPcaApp::build(&app, Box::new(CsvFileSource::new(&live)));
+        let (graph, handles) = ParallelPcaApp::build(&app, Box::new(LineSource::new(&live)));
         Engine::run(graph);
         let state = handles.engine_states[0].lock();
         encode_snapshot(state.full_eigensystem().expect("initialized by warm start"))

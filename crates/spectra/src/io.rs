@@ -1,11 +1,12 @@
-//! CSV tuple I/O.
+//! CSV tuple I/O: the one observation row format.
 //!
 //! The paper's InfoSphere application reads "local regular text or binary
 //! file with CSV formatted tuples" and periodically saves intermediate
-//! results to disk. These helpers implement the same formats: one
-//! observation per line, comma-separated `f64` values, with an optional
-//! leading mask column block for gappy data (`NaN` marks a missing bin on
-//! read).
+//! results to disk. Every ingest path (file, followed file, TCP, HTTP,
+//! backfill partitions) and every writer goes through the functions here:
+//! one observation per line, comma-separated `f64` values. A gap is a
+//! field that does not parse to a finite number and is written as `nan`.
+//! Blank lines and `#` comments carry no row.
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -15,25 +16,29 @@ pub fn write_csv<P: AsRef<Path>>(path: P, data: &[Vec<f64>]) -> std::io::Result<
     let f = std::fs::File::create(path)?;
     let mut w = BufWriter::new(f);
     for row in data {
-        write_row(&mut w, row)?;
+        write_row(&mut w, row, None)?;
     }
     w.flush()
 }
 
-fn write_row<W: Write>(w: &mut W, row: &[f64]) -> std::io::Result<()> {
-    let mut first = true;
-    for v in row {
-        if !first {
-            write!(w, ",")?;
+/// Writes one observation row. A bin whose `mask` entry is `false`, or
+/// whose value is NaN, is written as `nan`.
+pub fn write_row<W: Write>(
+    w: &mut W,
+    values: &[f64],
+    mask: Option<&[bool]>,
+) -> std::io::Result<()> {
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",")?;
         }
-        first = false;
-        if v.is_nan() {
-            write!(w, "nan")?;
+        if v.is_nan() || mask.is_some_and(|m| !m[i]) {
+            w.write_all(b"nan")?;
         } else {
             write!(w, "{v}")?;
         }
     }
-    writeln!(w)
+    w.write_all(b"\n")
 }
 
 /// Writes gappy observations: missing bins are encoded as `nan`.
@@ -43,49 +48,31 @@ pub fn write_csv_masked<P: AsRef<Path>>(
 ) -> std::io::Result<()> {
     let f = std::fs::File::create(path)?;
     let mut w = BufWriter::new(f);
-    let mut row = Vec::new();
     for (flux, mask) in data {
-        row.clear();
-        row.extend(
-            flux.iter()
-                .zip(mask)
-                .map(|(&v, &m)| if m { v } else { f64::NAN }),
-        );
-        write_row(&mut w, &row)?;
+        write_row(&mut w, flux, Some(mask))?;
     }
     w.flush()
 }
 
-/// Reads CSV observations; `nan` / empty fields become missing bins.
-/// Returns `(values, mask)` per row with missing bins set to 0.0.
-pub fn read_csv<P: AsRef<Path>>(path: P) -> std::io::Result<Vec<(Vec<f64>, Vec<bool>)>> {
-    Ok(parse_csv_str(&std::fs::read_to_string(path)?))
-}
-
-/// Parses CSV observations already in memory — the text layer under
-/// [`read_csv`], used by the backfill runner to parse byte-range
-/// partitions of a corpus without re-reading the file per partition.
-pub fn parse_csv_str(text: &str) -> Vec<(Vec<f64>, Vec<bool>)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if let Some(row) = parse_csv_line(line) {
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// Parses one CSV line; `None` for blank and `#`-comment lines.
-pub fn parse_csv_line(line: &str) -> Option<(Vec<f64>, Vec<bool>)> {
+/// The trimmed text of a data line; `None` for a blank or `#`-comment line.
+pub fn data_text(line: &str) -> Option<&str> {
     let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return None;
-    }
-    let mut values = Vec::new();
-    let mut mask = Vec::new();
-    for field in trimmed.split(',') {
-        let field = field.trim();
-        match field.parse::<f64>() {
+    (!trimmed.is_empty() && !trimmed.starts_with('#')).then_some(trimmed)
+}
+
+/// Parses one CSV line into the caller's buffers, which are cleared and
+/// refilled so a caller parsing many rows allocates only while a row is
+/// wider than any before it. Returns `None` for a blank or `#`-comment
+/// line (the buffers are left untouched) and otherwise `Some(all_observed)`.
+/// A field that does not parse to a finite `f64` is a gap: its value is
+/// `0.0` and its mask entry `false`.
+pub fn parse_row_into(line: &str, values: &mut Vec<f64>, mask: &mut Vec<bool>) -> Option<bool> {
+    let text = data_text(line)?;
+    values.clear();
+    mask.clear();
+    let mut all_observed = true;
+    for field in text.split(',') {
+        match field.trim().parse::<f64>() {
             Ok(v) if v.is_finite() => {
                 values.push(v);
                 mask.push(true);
@@ -93,10 +80,18 @@ pub fn parse_csv_line(line: &str) -> Option<(Vec<f64>, Vec<bool>)> {
             _ => {
                 values.push(0.0);
                 mask.push(false);
+                all_observed = false;
             }
         }
     }
-    Some((values, mask))
+    Some(all_observed)
+}
+
+/// Parses one CSV line; `None` for blank and `#`-comment lines.
+pub fn parse_csv_line(line: &str) -> Option<(Vec<f64>, Vec<bool>)> {
+    let mut values = Vec::new();
+    let mut mask = Vec::new();
+    parse_row_into(line, &mut values, &mut mask).map(|_| (values, mask))
 }
 
 /// Writes an eigensystem snapshot: first line the eigenvalues, then one
@@ -111,13 +106,13 @@ pub fn write_eigensystem_csv<P: AsRef<Path>>(
     let f = std::fs::File::create(path)?;
     let mut w = BufWriter::new(f);
     writeln!(w, "# eigenvalues")?;
-    write_row(&mut w, values)?;
+    write_row(&mut w, values, None)?;
     writeln!(w, "# eigenvectors (one per line)")?;
     for ev in eigenvectors {
-        write_row(&mut w, ev)?;
+        write_row(&mut w, ev, None)?;
     }
     writeln!(w, "# mean")?;
-    write_row(&mut w, mean)?;
+    write_row(&mut w, mean, None)?;
     w.flush()
 }
 
@@ -131,12 +126,21 @@ mod tests {
         p
     }
 
+    /// Every data row of a CSV file, through [`parse_csv_line`].
+    fn read_rows(path: &Path) -> Vec<(Vec<f64>, Vec<bool>)> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter_map(parse_csv_line)
+            .collect()
+    }
+
     #[test]
     fn csv_round_trip() {
         let path = tmp("round");
         let data = vec![vec![1.0, 2.5, -3.0], vec![0.0, 1e-8, 4.0]];
         write_csv(&path, &data).unwrap();
-        let back = read_csv(&path).unwrap();
+        let back = read_rows(&path);
         assert_eq!(back.len(), 2);
         for (row, (vals, mask)) in data.iter().zip(&back) {
             assert_eq!(row, vals);
@@ -150,7 +154,7 @@ mod tests {
         let path = tmp("masked");
         let data = vec![(vec![1.0, 2.0, 3.0], vec![true, false, true])];
         write_csv_masked(&path, &data).unwrap();
-        let back = read_csv(&path).unwrap();
+        let back = read_rows(&path);
         assert_eq!(back[0].1, vec![true, false, true]);
         assert_eq!(back[0].0[0], 1.0);
         assert_eq!(back[0].0[1], 0.0); // missing → 0.0 placeholder
@@ -160,12 +164,45 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_skipped() {
-        let path = tmp("comments");
-        std::fs::write(&path, "# header\n\n1.0,2.0\n# trailing\n3.0,4.0\n").unwrap();
-        let back = read_csv(&path).unwrap();
+        let text = "# header\n\n1.0,2.0\n# trailing\n3.0,4.0\n";
+        let back: Vec<_> = text.lines().filter_map(parse_csv_line).collect();
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].0, vec![3.0, 4.0]);
-        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn write_row_encodes_masked_bins_and_nan_as_nan() {
+        let mut out = Vec::new();
+        write_row(
+            &mut out,
+            &[1.0, 7.0, f64::NAN, 0.5],
+            Some(&[true, false, true, true]),
+        )
+        .unwrap();
+        write_row(&mut out, &[f64::NAN, -2.0], None).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "1,nan,nan,0.5\nnan,-2\n");
+    }
+
+    #[test]
+    fn parse_row_into_reuses_buffers_and_skips_non_data_lines() {
+        let mut values = vec![9.0; 4];
+        let mut mask = vec![false; 4];
+        assert_eq!(parse_row_into("  # note", &mut values, &mut mask), None);
+        assert_eq!(values.len(), 4, "a skipped line leaves the buffers alone");
+        assert_eq!(
+            parse_row_into(" 1 , 2\r\n", &mut values, &mut mask),
+            Some(true)
+        );
+        assert_eq!(
+            (values.as_slice(), mask.as_slice()),
+            (&[1.0, 2.0][..], &[true, true][..])
+        );
+        assert_eq!(
+            parse_row_into("inf,,x,3", &mut values, &mut mask),
+            Some(false)
+        );
+        assert_eq!(values, vec![0.0, 0.0, 0.0, 3.0]);
+        assert_eq!(mask, vec![false, false, false, true]);
     }
 
     #[test]
@@ -178,7 +215,7 @@ mod tests {
             &[0.5, 0.5],
         )
         .unwrap();
-        let back = read_csv(&path).unwrap();
+        let back = read_rows(&path);
         assert_eq!(back.len(), 4); // values + 2 vectors + mean
         assert_eq!(back[0].0, vec![3.0, 1.0]);
         std::fs::remove_file(path).ok();

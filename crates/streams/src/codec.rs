@@ -27,11 +27,11 @@
 //! The layout is *columnar*: all values of a batch land in one contiguous
 //! little-endian f64 block, so encode is a handful of bulk copies and
 //! decode is a bounds check plus a bulk copy — no per-value formatting or
-//! parsing anywhere (the CSV `TcpSource`/`TcpSink` path re-parses every
-//! float; this is the hot path that replaces it). Both directions reuse
-//! caller-owned buffers and allocate nothing in steady state (guarded by
-//! `tests/codec_alloc.rs`, the same allocator-counter pattern as the
-//! serving path).
+//! parsing anywhere (the CSV path, `TcpSink` into a TCP `LineSource`,
+//! re-parses every float; this is the hot path that replaces it). Both
+//! directions reuse caller-owned buffers and allocate nothing in steady
+//! state (guarded by `tests/codec_alloc.rs`, the same allocator-counter
+//! pattern as the serving path).
 //!
 //! Torn and corrupted input can never partially apply: a decode first
 //! proves the full frame is present, then verifies the CRC-32 over the

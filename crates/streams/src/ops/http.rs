@@ -1,15 +1,13 @@
-//! HTTP data source.
+//! The HTTP origin of a [`LineSource`](super::LineSource).
 //!
 //! §III-A1: "Network TCP sockets and http URLs are also supported out of
 //! the box as a source of data." This is a dependency-free HTTP/1.1 GET
-//! client over `std::net::TcpStream` that streams a CSV response body
-//! line-by-line (same wire format as the file and TCP sources), handling
-//! `Content-Length` and `Transfer-Encoding: chunked` bodies and one level
-//! of redirect.
+//! client over `std::net::TcpStream` whose response body is a plain
+//! reader for the line source (same wire format as the file and TCP
+//! origins). It handles `Content-Length`, `Transfer-Encoding: chunked` and
+//! read-until-close bodies and one level of redirect.
 
-use crate::operator::{OpContext, Operator, SourceState};
-use crate::tuple::DataTuple;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -77,71 +75,26 @@ impl HttpUrl {
     }
 }
 
-enum BodyFraming {
-    Length(u64),
-    Chunked { remaining_in_chunk: u64, done: bool },
-    UntilClose,
-}
-
-/// Streams observations from an HTTP URL serving CSV.
-pub struct HttpSource {
-    url: HttpUrl,
-    state: ConnState,
-    seq: u64,
-    redirects_left: u8,
-}
-
-enum ConnState {
-    Unconnected,
-    Streaming {
-        reader: BufReader<TcpStream>,
-        framing: BodyFraming,
-        line: String,
-    },
-    Done,
-}
-
-impl HttpSource {
-    /// A source for the given `http://` URL. Errors on malformed URLs.
-    pub fn get(url: &str) -> Result<Self, String> {
-        Ok(HttpSource {
-            url: HttpUrl::parse(url)?,
-            state: ConnState::Unconnected,
-            seq: 0,
-            redirects_left: 1,
-        })
-    }
-
-    fn connect(&mut self) {
-        let addr = format!("{}:{}", self.url.host, self.url.port);
-        let stream = match TcpStream::connect(&addr) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("HttpSource: cannot connect to {addr}: {e}");
-                self.state = ConnState::Done;
-                return;
-            }
-        };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let mut stream = stream;
+/// Issues a GET for `url`, following one redirect, and returns the
+/// response body of a `200` as a reader that ends where the body ends.
+pub(crate) fn get(url: &HttpUrl) -> io::Result<Box<dyn BufRead + Send>> {
+    let mut url = url.clone();
+    let mut redirects_left = 1u8;
+    loop {
+        let addr = format!("{}:{}", url.host, url.port);
+        let mut stream = TcpStream::connect(&addr)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot connect to {addr}: {e}")))?;
+        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         let req = format!(
             "GET {} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\nAccept: text/csv, */*\r\nUser-Agent: spca/0.1\r\n\r\n",
-            self.url.path, self.url.host
+            url.path, url.host
         );
-        if let Err(e) = stream.write_all(req.as_bytes()) {
-            eprintln!("HttpSource: request failed: {e}");
-            self.state = ConnState::Done;
-            return;
-        }
+        stream.write_all(req.as_bytes())?;
         let mut reader = BufReader::new(stream);
 
         // Status line.
         let mut status_line = String::new();
-        if reader.read_line(&mut status_line).is_err() {
-            eprintln!("HttpSource: no status line");
-            self.state = ConnState::Done;
-            return;
-        }
+        reader.read_line(&mut status_line)?;
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
@@ -154,218 +107,113 @@ impl HttpSource {
         let mut location: Option<String> = None;
         loop {
             let mut h = String::new();
-            match reader.read_line(&mut h) {
-                Ok(0) => break,
-                Ok(_) => {
-                    let h = h.trim_end();
-                    if h.is_empty() {
-                        break;
-                    }
-                    let lower = h.to_ascii_lowercase();
-                    if let Some(v) = lower.strip_prefix("content-length:") {
-                        content_length = v.trim().parse().ok();
-                    } else if lower.starts_with("transfer-encoding:") && lower.contains("chunked") {
-                        chunked = true;
-                    } else if let Some(v) = h
-                        .strip_prefix("Location:")
-                        .or_else(|| h.strip_prefix("location:"))
-                    {
-                        location = Some(v.trim().to_string());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("HttpSource: header read failed: {e}");
-                    self.state = ConnState::Done;
-                    return;
-                }
+            if reader.read_line(&mut h)? == 0 {
+                break;
+            }
+            let h = h.trim_end();
+            if h.is_empty() {
+                break;
+            }
+            let lower = h.to_ascii_lowercase();
+            if let Some(v) = lower.strip_prefix("content-length:") {
+                content_length = v.trim().parse().ok();
+            } else if lower.starts_with("transfer-encoding:") && lower.contains("chunked") {
+                chunked = true;
+            } else if let Some(v) = h
+                .strip_prefix("Location:")
+                .or_else(|| h.strip_prefix("location:"))
+            {
+                location = Some(v.trim().to_string());
             }
         }
 
         match status {
-            200 => {
-                let framing = if chunked {
-                    BodyFraming::Chunked {
-                        remaining_in_chunk: 0,
-                        done: false,
-                    }
-                } else if let Some(len) = content_length {
-                    BodyFraming::Length(len)
-                } else {
-                    BodyFraming::UntilClose
-                };
-                self.state = ConnState::Streaming {
-                    reader,
-                    framing,
-                    line: String::new(),
-                };
+            200 if chunked => {
+                return Ok(Box::new(BufReader::new(Chunked {
+                    inner: reader,
+                    left: 0,
+                    head: String::new(),
+                    done: false,
+                })))
             }
-            301 | 302 | 307 | 308 if self.redirects_left > 0 => {
-                self.redirects_left -= 1;
-                match location.as_deref().map(HttpUrl::parse) {
-                    Some(Ok(url)) => {
-                        self.url = url;
-                        self.state = ConnState::Unconnected; // retry with new target
-                    }
-                    _ => {
-                        eprintln!("HttpSource: redirect without usable Location");
-                        self.state = ConnState::Done;
-                    }
-                }
+            200 => {
+                return Ok(match content_length {
+                    Some(len) => Box::new(reader.take(len)),
+                    None => Box::new(reader),
+                })
+            }
+            301 | 302 | 307 | 308 if redirects_left > 0 => {
+                redirects_left -= 1;
+                url = location
+                    .as_deref()
+                    .map(HttpUrl::parse)
+                    .and_then(Result::ok)
+                    .ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "redirect without usable Location",
+                        )
+                    })?;
             }
             other => {
-                eprintln!("HttpSource: HTTP status {other}");
-                self.state = ConnState::Done;
-            }
-        }
-    }
-
-    /// Reads the next body line respecting the framing; None = body done.
-    fn next_body_line(&mut self) -> Option<String> {
-        let ConnState::Streaming {
-            reader,
-            framing,
-            line,
-        } = &mut self.state
-        else {
-            return None;
-        };
-        match framing {
-            BodyFraming::UntilClose => {
-                line.clear();
-                match reader.read_line(line) {
-                    Ok(0) => None,
-                    Ok(_) => Some(line.trim_end().to_string()),
-                    Err(_) => None,
-                }
-            }
-            BodyFraming::Length(remaining) => {
-                if *remaining == 0 {
-                    return None;
-                }
-                line.clear();
-                match reader.read_line(line) {
-                    Ok(0) => None,
-                    Ok(n) => {
-                        *remaining = remaining.saturating_sub(n as u64);
-                        Some(line.trim_end().to_string())
-                    }
-                    Err(_) => None,
-                }
-            }
-            BodyFraming::Chunked {
-                remaining_in_chunk,
-                done,
-            } => {
-                if *done {
-                    return None;
-                }
-                // Assemble one logical line, possibly across chunks.
-                let mut out = String::new();
-                loop {
-                    if *remaining_in_chunk == 0 {
-                        // Read next chunk-size line.
-                        line.clear();
-                        if reader.read_line(line).unwrap_or(0) == 0 {
-                            *done = true;
-                            break;
-                        }
-                        let size = u64::from_str_radix(line.trim(), 16).unwrap_or(0);
-                        if size == 0 {
-                            *done = true;
-                            break;
-                        }
-                        *remaining_in_chunk = size;
-                    }
-                    // Read at most the rest of this chunk, stopping at \n.
-                    let mut byte = [0u8; 1];
-                    use std::io::Read;
-                    let mut got_newline = false;
-                    while *remaining_in_chunk > 0 {
-                        match reader.read_exact(&mut byte) {
-                            Ok(()) => {
-                                *remaining_in_chunk -= 1;
-                                if byte[0] == b'\n' {
-                                    got_newline = true;
-                                    break;
-                                }
-                                if byte[0] != b'\r' {
-                                    out.push(byte[0] as char);
-                                }
-                            }
-                            Err(_) => {
-                                *done = true;
-                                break;
-                            }
-                        }
-                    }
-                    if *remaining_in_chunk == 0 && !*done {
-                        // Consume the CRLF trailing the chunk payload.
-                        let mut crlf = String::new();
-                        let _ = reader.read_line(&mut crlf);
-                    }
-                    if got_newline || *done {
-                        break;
-                    }
-                }
-                if out.is_empty() && *done {
-                    None
-                } else {
-                    Some(out)
-                }
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("HTTP status {other} from {addr}{}", url.path),
+                ))
             }
         }
     }
 }
 
-impl Operator for HttpSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
+/// A `Transfer-Encoding: chunked` body decoder: yields the chunk payloads
+/// back to back and ends at the zero-size chunk (or a closed connection).
+/// The chunk-size line is carried across a read timeout like a data line.
+/// Carriage returns are dropped from the payload: in a CSV body they only
+/// end lines, and a sender whose chunk sizes count the CR of a CRLF stays
+/// readable.
+struct Chunked<R> {
+    inner: R,
+    /// Payload bytes left in the current chunk.
+    left: u64,
+    /// The chunk-size line read so far.
+    head: String,
+    done: bool,
+}
 
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if ctx.stop_requested() {
-            return SourceState::Done;
-        }
+impl<R: BufRead> Read for Chunked<R> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
         loop {
-            match &self.state {
-                ConnState::Done => return SourceState::Done,
-                ConnState::Unconnected => {
-                    self.connect();
-                    continue;
+            while self.left == 0 && !self.done {
+                if self.inner.read_line(&mut self.head)? == 0 || !self.head.ends_with('\n') {
+                    self.done = true;
+                    break;
                 }
-                ConnState::Streaming { .. } => break,
+                // A blank line is the CRLF that closes the previous chunk.
+                let size = self.head.trim();
+                if !size.is_empty() {
+                    self.left = u64::from_str_radix(size, 16).unwrap_or(0);
+                    self.done = self.left == 0;
+                }
+                self.head.clear();
             }
-        }
-        let Some(raw) = self.next_body_line() else {
-            self.state = ConnState::Done;
-            return SourceState::Done;
-        };
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return SourceState::Idle;
-        }
-        let mut values = Vec::new();
-        let mut mask = Vec::new();
-        let mut any_missing = false;
-        for field in trimmed.split(',') {
-            match field.trim().parse::<f64>() {
-                Ok(v) if v.is_finite() => {
-                    values.push(v);
-                    mask.push(true);
-                }
-                _ => {
-                    values.push(0.0);
-                    mask.push(false);
-                    any_missing = true;
+            if self.done || out.is_empty() {
+                return Ok(0);
+            }
+            let cap = self.left.min(out.len() as u64) as usize;
+            let n = self.inner.read(&mut out[..cap])?;
+            self.done = n == 0;
+            self.left -= n as u64;
+            let mut kept = 0;
+            for i in 0..n {
+                if out[i] != b'\r' {
+                    out[kept] = out[i];
+                    kept += 1;
                 }
             }
+            if kept > 0 || self.done {
+                return Ok(kept);
+            }
         }
-        let t = if any_missing {
-            DataTuple::masked(self.seq, values, mask)
-        } else {
-            DataTuple::new(self.seq, values)
-        };
-        self.seq += 1;
-        ctx.emit_data(0, t);
-        SourceState::Emitted
     }
 }
 
@@ -375,6 +223,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::graph::{GraphBuilder, PortKind};
     use crate::ops::CollectSink;
+    use crate::ops::LineSource;
     use std::net::TcpListener;
 
     /// Minimal one-shot HTTP server for tests.
@@ -393,9 +242,9 @@ mod tests {
         format!("http://{addr}/data.csv")
     }
 
-    fn collect_from(url: &str) -> Vec<DataTuple> {
+    fn collect_from(url: &str) -> Vec<crate::tuple::DataTuple> {
         let mut g = GraphBuilder::new();
-        let src = g.add_source("http", Box::new(HttpSource::get(url).unwrap()));
+        let src = g.add_source("http", Box::new(LineSource::get(url).unwrap()));
         let (sink, store) = CollectSink::new();
         let s = g.add_op("collect", Box::new(sink));
         g.connect(src, 0, s, PortKind::Data);

@@ -1,8 +1,8 @@
 //! The standard operator library.
 //!
 //! Mirrors the InfoSphere toolbox pieces the paper's application uses:
-//! generator / file / piped data sources (§III-A1), the multithreaded
-//! load-balancing split (§III-A2), the `Throttle` pacing operator (§III-B),
+//! the generator and the CSV line source — file, piped file, TCP or HTTP
+//! (§III-A1) — the multithreaded load-balancing split (§III-A2), the `Throttle` pacing operator (§III-B),
 //! functor (map/filter) utilities, and sinks (callback, collector, CSV
 //! file with periodic snapshots).
 
@@ -16,12 +16,11 @@ pub mod split;
 pub mod throttle;
 
 pub use functor::{Filter, Map};
-pub use http::HttpSource;
 pub use http_server::{
     ConnHandler, HttpServer, RateLimitConfig, Request, ResponseBuf, ServerConfig, ServerStats,
 };
-pub use net::{TcpSink, TcpSource};
+pub use net::TcpSink;
 pub use sink::{CallbackSink, CollectSink, CsvFileSink, NullSink};
-pub use source::{CsvFileSource, FollowFileSource, GeneratorSource};
+pub use source::{CsvFileSource, GeneratorSource, LineSource, TcpSource};
 pub use split::{Split, SplitStrategy};
 pub use throttle::Throttle;

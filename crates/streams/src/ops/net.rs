@@ -1,184 +1,56 @@
-//! Network tuple transport: TCP source and sink operators.
+//! Network tuple transport: the TCP peer of a
+//! [`LineSource`](super::LineSource) and the TCP sink.
 //!
 //! §III-A1: "Network TCP sockets and http URLs are also supported out of
-//! the box as a source of data." These operators speak a newline-delimited
-//! CSV wire format (one observation per line, `nan` for missing bins —
-//! the same format as the file source/sink), so a `TcpSink` on one process
-//! feeds a `TcpSource` on another, and anything that can open a socket
-//! (including `nc`) can feed the pipeline.
+//! the box as a source of data." The wire format is newline-delimited CSV
+//! rows ([`spca_spectra::io`], the same format as the file source), so a
+//! `TcpSink` on one process feeds a
+//! [`LineSource::listen`](super::LineSource::listen) on another, and
+//! anything that can open a socket (including `nc`) can feed the pipeline.
 
 use crate::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
-use crate::operator::{OpContext, Operator, SourceState};
+use crate::operator::{OpContext, Operator};
 use crate::tuple::DataTuple;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use spca_spectra::io::write_row;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// Streams observations from a TCP connection.
-///
-/// In `listen` mode it binds and accepts exactly one peer; in `connect`
-/// mode it dials out. Lines are parsed exactly like [`super::CsvFileSource`].
-pub struct TcpSource {
-    mode: Mode,
-    reader: Option<BufReader<TcpStream>>,
-    line: String,
-    seq: u64,
-    /// Observations delivered so far.
-    pub delivered: u64,
-}
-
-enum Mode {
+/// The TCP end of a [`LineSource`](super::LineSource): a listener that accepts exactly one
+/// peer, or an address to dial.
+pub(crate) enum TcpPeer {
+    /// `None` once the listener has accepted (or failed to).
     Listen(Option<TcpListener>),
     Connect(SocketAddr),
-    Failed,
 }
 
-impl TcpSource {
-    /// Binds `addr` and waits for one producer to connect. Binding happens
-    /// immediately so the caller can learn the ephemeral port via
-    /// [`TcpSource::local_addr`] before the engine starts.
-    pub fn listen(addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(TcpSource {
-            mode: Mode::Listen(Some(listener)),
-            reader: None,
-            line: String::new(),
-            seq: 0,
-            delivered: 0,
-        })
+impl TcpPeer {
+    pub(crate) fn listen(addr: &str) -> io::Result<Self> {
+        Ok(TcpPeer::Listen(Some(TcpListener::bind(addr)?)))
     }
 
-    /// Connects to a remote producer at drive time.
-    pub fn connect(addr: SocketAddr) -> Self {
-        TcpSource {
-            mode: Mode::Connect(addr),
-            reader: None,
-            line: String::new(),
-            seq: 0,
-            delivered: 0,
-        }
-    }
-
-    /// The bound address in listen mode.
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        match &self.mode {
-            Mode::Listen(Some(l)) => l.local_addr().ok(),
+    pub(crate) fn local_addr(&self) -> Option<SocketAddr> {
+        match self {
+            TcpPeer::Listen(Some(l)) => l.local_addr().ok(),
             _ => None,
         }
     }
 
-    fn ensure_connected(&mut self) -> bool {
-        if self.reader.is_some() {
-            return true;
-        }
-        let stream = match &mut self.mode {
-            Mode::Listen(slot) => match slot.take() {
-                Some(listener) => listener.accept().map(|(s, _)| s),
-                None => return false,
-            },
-            Mode::Connect(addr) => TcpStream::connect_timeout(addr, Duration::from_secs(5)),
-            Mode::Failed => return false,
+    /// Accepts or dials the peer.
+    pub(crate) fn open(&mut self) -> io::Result<Box<dyn BufRead + Send>> {
+        let stream = match self {
+            TcpPeer::Listen(slot) => {
+                let listener = slot.take().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::NotConnected, "TCP listener already used")
+                })?;
+                listener.accept()?.0
+            }
+            TcpPeer::Connect(addr) => TcpStream::connect_timeout(addr, Duration::from_secs(5))?,
         };
-        match stream {
-            Ok(s) => {
-                // Bounded read timeout keeps the PE responsive to stop
-                // requests even on a silent peer.
-                let _ = s.set_read_timeout(Some(Duration::from_millis(100)));
-                self.reader = Some(BufReader::new(s));
-                true
-            }
-            Err(e) => {
-                eprintln!("TcpSource: connection failed: {e}");
-                self.mode = Mode::Failed;
-                false
-            }
-        }
-    }
-}
-
-impl Operator for TcpSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if ctx.stop_requested() {
-            return SourceState::Done;
-        }
-        if !self.ensure_connected() {
-            return SourceState::Done;
-        }
-        let reader = self.reader.as_mut().expect("connected above");
-        self.line.clear();
-        match reader.read_line(&mut self.line) {
-            Ok(0) => SourceState::Done, // peer closed
-            Ok(_) => {
-                let trimmed = self.line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    return SourceState::Idle;
-                }
-                let mut values = Vec::new();
-                let mut mask = Vec::new();
-                let mut any_missing = false;
-                for field in trimmed.split(',') {
-                    match field.trim().parse::<f64>() {
-                        Ok(v) if v.is_finite() => {
-                            values.push(v);
-                            mask.push(true);
-                        }
-                        _ => {
-                            values.push(0.0);
-                            mask.push(false);
-                            any_missing = true;
-                        }
-                    }
-                }
-                let t = if any_missing {
-                    DataTuple::masked(self.seq, values, mask)
-                } else {
-                    DataTuple::new(self.seq, values)
-                };
-                self.seq += 1;
-                self.delivered += 1;
-                ctx.emit_data(0, t);
-                SourceState::Emitted
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Read timeout: nothing available, stay alive.
-                SourceState::Idle
-            }
-            Err(e) => {
-                eprintln!("TcpSource: read error: {e}");
-                SourceState::Done
-            }
-        }
-    }
-
-    fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
-    }
-}
-
-/// A TCP feed is live — the wire position cannot rewind, so the checkpoint
-/// carries only the sequence cursor. A restore keeps the open connection
-/// (the common case: the instance survived a PE restart in memory) and
-/// resumes numbering where the snapshot left off; observations the peer sent
-/// while the PE was down were already absorbed by kernel buffering or are
-/// simply the stream's present, as with any live telescope feed.
-impl Checkpoint for TcpSource {
-    fn snapshot(&self) -> Vec<u8> {
-        encode_kv(&[
-            ("seq", self.seq.to_string()),
-            ("delivered", self.delivered.to_string()),
-        ])
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let kv = decode_kv(bytes)?;
-        self.seq = kv_u64(&kv, "seq")?;
-        self.delivered = kv_u64(&kv, "delivered")?;
-        Ok(())
+        // Bounded read timeout keeps the PE responsive to stop requests
+        // even on a silent peer.
+        stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+        Ok(Box::new(BufReader::new(stream)))
     }
 }
 
@@ -229,20 +101,7 @@ impl Operator for TcpSink {
             return;
         }
         let w = self.writer.as_mut().expect("connected above");
-        let mut first = true;
-        for (i, v) in t.values.iter().enumerate() {
-            if !first {
-                let _ = write!(w, ",");
-            }
-            first = false;
-            let missing = t.mask.as_ref().is_some_and(|m| !m[i]);
-            if missing {
-                let _ = write!(w, "nan");
-            } else {
-                let _ = write!(w, "{v}");
-            }
-        }
-        let _ = writeln!(w);
+        let _ = write_row(w, &t.values, t.mask.as_deref().map(Vec::as_slice));
         self.written += 1;
     }
 
@@ -259,7 +118,7 @@ impl Operator for TcpSink {
     }
 }
 
-/// Counterpart of [`TcpSource`]'s checkpoint: the written-tuple counter only.
+/// Like a network [`LineSource`](super::LineSource)'s checkpoint, the tuple counter only.
 /// A restore flushes and keeps the live connection if one is open, and
 /// clears the failure latch so a sink that lost its peer in the crash that
 /// triggered the restart redials on the next tuple.
@@ -284,12 +143,12 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::graph::{GraphBuilder, PortKind};
-    use crate::ops::{CollectSink, GeneratorSource};
+    use crate::ops::{CollectSink, GeneratorSource, LineSource};
 
     #[test]
     fn tcp_pipe_between_two_graphs() {
-        // Producer graph: generator → TcpSink; consumer: TcpSource → collect.
-        let source = TcpSource::listen("127.0.0.1:0").expect("bind");
+        // Producer graph: generator → TcpSink; consumer: LineSource → collect.
+        let source = LineSource::listen("127.0.0.1:0").expect("bind");
         let addr = source.local_addr().expect("bound");
 
         let mut consumer = GraphBuilder::new();
@@ -320,7 +179,7 @@ mod tests {
 
     #[test]
     fn tcp_wire_format_round_trips_masks() {
-        let source = TcpSource::listen("127.0.0.1:0").expect("bind");
+        let source = LineSource::listen("127.0.0.1:0").expect("bind");
         let addr = source.local_addr().expect("bound");
 
         let mut consumer = GraphBuilder::new();
@@ -352,7 +211,7 @@ mod tests {
 
     #[test]
     fn source_survives_silent_peer_then_stop() {
-        let source = TcpSource::listen("127.0.0.1:0").expect("bind");
+        let source = LineSource::listen("127.0.0.1:0").expect("bind");
         let addr = source.local_addr().expect("bound");
 
         let mut g = GraphBuilder::new();
@@ -368,6 +227,34 @@ mod tests {
         running.stop();
         let report = running.join();
         assert_eq!(report.op("collect").unwrap().tuples_in, 0);
+    }
+
+    #[test]
+    fn source_keeps_a_line_split_across_its_read_timeout() {
+        // Regression: the source cleared its line buffer after each 100 ms
+        // read timeout, so `1,2,` + pause + `3\n` arrived as the row `[3]`.
+        let source = LineSource::listen("127.0.0.1:0").expect("bind");
+        let addr = source.local_addr().expect("bound");
+
+        let mut g = GraphBuilder::new();
+        let src = g.add_source("tcp-in", Box::new(source));
+        let (collect, store) = CollectSink::new();
+        let sink = g.add_op("collect", Box::new(collect));
+        g.connect(src, 0, sink, PortKind::Data);
+        let running = Engine::start(g);
+
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(b"1,2,").unwrap();
+        peer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        peer.write_all(b"3\n4,5,6\n").unwrap();
+        drop(peer);
+
+        running.join();
+        let got = store.lock();
+        let rows: Vec<Vec<f64>> = got.iter().map(|t| t.values.to_vec()).collect();
+        assert_eq!(rows, vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        assert!(got.iter().all(|t| t.mask.is_none()));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use crate::operator::{OpContext, Operator};
 use crate::tuple::{ControlTuple, DataTuple};
 use parking_lot::Mutex;
+use spca_spectra::io::write_row;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -98,7 +99,9 @@ impl<F: FnMut(DataTuple) + Send, G: FnMut(ControlTuple) + Send> Operator for Cal
     }
 }
 
-/// Appends data tuples to a CSV file, flushing every `flush_every` tuples —
+/// Appends data tuples to a CSV file in the row format of
+/// [`spca_spectra::io`] (a masked bin is written as `nan`), flushing every
+/// `flush_every` tuples —
 /// the paper's "intermediate calculation results are periodically saved to
 /// the disk for future reference".
 pub struct CsvFileSink {
@@ -132,15 +135,7 @@ impl Operator for CsvFileSink {
             }
         }
         let w = self.writer.as_mut().expect("writer installed above");
-        let mut first = true;
-        for v in t.values.iter() {
-            if !first {
-                let _ = write!(w, ",");
-            }
-            first = false;
-            let _ = write!(w, "{v}");
-        }
-        let _ = writeln!(w);
+        let _ = write_row(w, &t.values, t.mask.as_deref().map(Vec::as_slice));
         self.written += 1;
         if self.written.is_multiple_of(self.flush_every) {
             let _ = w.flush();
@@ -317,6 +312,38 @@ mod tests {
         });
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "1,2\n3,4\n");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn csv_sink_keeps_gaps_through_a_line_source() {
+        // Regression: the sink used to ignore the mask and write a gap's
+        // placeholder value, so `1,0,3` read back as a complete row.
+        use crate::operator::SourceState;
+        use crate::ops::LineSource;
+        let mut path = std::env::temp_dir();
+        path.push(format!("spca_sink_gaps_{}.csv", std::process::id()));
+        let mut sink = CsvFileSink::new(&path, 1);
+        with_ctx(0, |ctx| {
+            sink.process(
+                DataTuple::masked(0, vec![1.0, 0.0, 3.0], vec![true, false, true]),
+                ctx,
+            );
+            sink.on_finish(ctx);
+        });
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "1,nan,3\n");
+        let mut src = LineSource::new(&path);
+        let back = with_ctx(1, |ctx| {
+            assert_eq!(src.drive(ctx), SourceState::Emitted);
+            assert_eq!(src.drive(ctx), SourceState::Done);
+        });
+        let data = back.data_at(0);
+        let mask = data[0]
+            .mask
+            .as_ref()
+            .expect("the gap survives the round trip");
+        assert_eq!(mask.as_slice(), &[true, false, true]);
+        assert_eq!(*data[0].values, vec![1.0, 0.0, 3.0]);
         std::fs::remove_file(path).ok();
     }
 }

@@ -1,13 +1,20 @@
-//! Data sources: generators and CSV files.
+//! Data sources: generators and CSV lines.
 //!
 //! §III-A1: "The observations can be artificially generated by the
 //! application component for testing purposes … Local regular text or
-//! binary file with CSV formatted tuples … can feed the data."
+//! binary file with CSV formatted tuples … can feed the data." Every
+//! line-oriented feed — a file, a followed (piped) file, a TCP socket, an
+//! HTTP URL — is one [`LineSource`], parsing rows with
+//! [`spca_spectra::io::parse_row_into`].
 
+use super::http::{self, HttpUrl};
+use super::net::TcpPeer;
 use crate::checkpoint::{decode_kv, encode_kv, kv_u64, Checkpoint};
 use crate::operator::{OpContext, Operator, SourceState};
 use crate::tuple::DataTuple;
-use std::io::BufRead;
+use spca_spectra::io::{data_text, parse_row_into};
+use std::io::{self, BufRead, BufReader, ErrorKind};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -113,148 +120,118 @@ where
     }
 }
 
-/// Streams observations from a CSV file (one vector per line, `nan` or
-/// unparsable fields marking missing bins). The whole file is read lazily,
-/// line by line, so arbitrarily large files stream in constant memory.
-pub struct CsvFileSource {
-    path: PathBuf,
-    reader: Option<std::io::BufReader<std::fs::File>>,
-    line: String,
+/// Streams observations from CSV lines (one vector per line, `nan` or
+/// unparsable fields marking missing bins), read lazily so arbitrarily
+/// large inputs stream in constant memory.
+///
+/// The origin decides three things and nothing else:
+///
+/// | origin | constructor | end of input | checkpoint restore |
+/// |---|---|---|---|
+/// | file | [`LineSource::new`] | `Done` | reopen, skip `seq` rows |
+/// | followed file | [`LineSource::follow`] | `Idle` (wait for more) | reopen, skip `seq` rows |
+/// | TCP peer | [`LineSource::listen`], [`LineSource::connect`] | `Done` | keep the connection |
+/// | HTTP body | [`LineSource::get`] | `Done` | keep the connection |
+///
+/// A line is complete at `\n` or at end of input; a partial line (a writer
+/// flushing mid-row, a read timeout on a socket) is carried until its rest
+/// arrives. The checkpoint is the `seq` cursor alone: a row count, not a
+/// byte offset, so files stay human-editable.
+pub struct LineSource {
+    origin: Origin,
+    input: Option<Box<dyn BufRead + Send>>,
+    /// Bytes of the current line, carried across `Idle` returns.
+    line: Vec<u8>,
+    /// Parse buffers; `values` moves into each emitted tuple and is
+    /// replaced by one sized to that row's width.
+    values: Vec<f64>,
+    mask: Vec<bool>,
     seq: u64,
-    /// Data rows still to discard after a checkpoint restore re-opened the
-    /// file from the top (the cursor is a row count, not a byte offset, so
-    /// the file stays human-editable).
+    /// Data rows still to discard after a restore reopened the input.
     resume_skip: u64,
 }
 
-impl CsvFileSource {
-    /// A source over the given CSV file. The file is opened on first drive.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CsvFileSource {
-            path: path.into(),
-            reader: None,
-            line: String::new(),
+/// Where a [`LineSource`] reads from.
+enum Origin {
+    File(PathBuf),
+    /// A growing file with `tail -f` semantics — the paper's piped-stream
+    /// feed: "InfoSphere will lock on the stream end until a new data is
+    /// streamed through."
+    Follow(PathBuf),
+    Tcp(TcpPeer),
+    Http(HttpUrl),
+}
+
+impl LineSource {
+    fn with_origin(origin: Origin) -> Self {
+        LineSource {
+            origin,
+            input: None,
+            line: Vec::new(),
+            values: Vec::new(),
+            mask: Vec::new(),
             seq: 0,
             resume_skip: 0,
         }
     }
-}
 
-impl Operator for CsvFileSource {
-    fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
-
-    fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
-        Some(self)
-    }
-
-    fn drive(&mut self, ctx: &mut OpContext<'_>) -> SourceState {
-        if self.reader.is_none() {
-            match std::fs::File::open(&self.path) {
-                Ok(f) => self.reader = Some(std::io::BufReader::new(f)),
-                Err(e) => {
-                    eprintln!("CsvFileSource: cannot open {}: {e}", self.path.display());
-                    return SourceState::Done;
-                }
-            }
-        }
-        let reader = self.reader.as_mut().expect("reader installed above");
-        loop {
-            self.line.clear();
-            match reader.read_line(&mut self.line) {
-                Ok(0) => return SourceState::Done,
-                Ok(_) => {
-                    let trimmed = self.line.trim();
-                    if trimmed.is_empty() || trimmed.starts_with('#') {
-                        continue;
-                    }
-                    if self.resume_skip > 0 {
-                        // Row already emitted before the checkpoint; discard.
-                        self.resume_skip -= 1;
-                        continue;
-                    }
-                    let mut values = Vec::new();
-                    let mut mask = Vec::new();
-                    let mut any_missing = false;
-                    for field in trimmed.split(',') {
-                        match field.trim().parse::<f64>() {
-                            Ok(v) if v.is_finite() => {
-                                values.push(v);
-                                mask.push(true);
-                            }
-                            _ => {
-                                values.push(0.0);
-                                mask.push(false);
-                                any_missing = true;
-                            }
-                        }
-                    }
-                    let t = if any_missing {
-                        DataTuple::masked(self.seq, values, mask)
-                    } else {
-                        DataTuple::new(self.seq, values)
-                    };
-                    self.seq += 1;
-                    ctx.emit_data(0, t);
-                    return SourceState::Emitted;
-                }
-                Err(e) => {
-                    eprintln!("CsvFileSource: read error on {}: {e}", self.path.display());
-                    return SourceState::Done;
-                }
-            }
-        }
-    }
-}
-
-impl Checkpoint for CsvFileSource {
-    fn snapshot(&self) -> Vec<u8> {
-        encode_kv(&[("seq", self.seq.to_string())])
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let kv = decode_kv(bytes)?;
-        self.seq = kv_u64(&kv, "seq")?;
-        // Drop the handle and re-read from the top, discarding the rows
-        // that were already emitted before the checkpoint was taken.
-        self.reader = None;
-        self.resume_skip = self.seq;
-        Ok(())
-    }
-}
-
-/// Follows a growing file (`tail -f` semantics) — the paper's piped-stream
-/// feed: "Side service can feed the data using piped stream file, and
-/// InfoSphere will lock on the stream end until a new data is streamed
-/// through." At end-of-file the source reports `Idle` and retries, so a
-/// producer appending to the file drives the pipeline live; it finishes
-/// only on a cooperative stop (or if the file disappears).
-pub struct FollowFileSource {
-    path: PathBuf,
-    reader: Option<std::io::BufReader<std::fs::File>>,
-    line: String,
-    /// Partial line carried across reads (a writer may flush mid-line).
-    partial: String,
-    seq: u64,
-    /// Data rows still to discard after a checkpoint restore re-opened the
-    /// file from the top.
-    resume_skip: u64,
-}
-
-impl FollowFileSource {
-    /// Follows `path`, which may not exist yet (the source waits for it).
+    /// Reads the CSV file at `path` once. The file is opened on first drive.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        FollowFileSource {
-            path: path.into(),
-            reader: None,
-            line: String::new(),
-            partial: String::new(),
-            seq: 0,
-            resume_skip: 0,
+        Self::with_origin(Origin::File(path.into()))
+    }
+
+    /// Follows `path`, which may not exist yet: at end of file the source
+    /// reports `Idle` and retries, so a producer appending to the file
+    /// drives the pipeline live. It finishes only on a cooperative stop.
+    pub fn follow(path: impl Into<PathBuf>) -> Self {
+        Self::with_origin(Origin::Follow(path.into()))
+    }
+
+    /// Binds `addr` and waits for one producer to connect. Binding happens
+    /// immediately so the caller can learn the ephemeral port via
+    /// [`LineSource::local_addr`] before the engine starts.
+    pub fn listen(addr: &str) -> io::Result<Self> {
+        Ok(Self::with_origin(Origin::Tcp(TcpPeer::listen(addr)?)))
+    }
+
+    /// Connects to a remote producer at drive time.
+    pub fn connect(addr: SocketAddr) -> Self {
+        Self::with_origin(Origin::Tcp(TcpPeer::Connect(addr)))
+    }
+
+    /// Streams the body of an HTTP GET of `url`. Errors on malformed URLs.
+    pub fn get(url: &str) -> Result<Self, String> {
+        Ok(Self::with_origin(Origin::Http(HttpUrl::parse(url)?)))
+    }
+
+    /// The bound address of a [`LineSource::listen`] source.
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        match &self.origin {
+            Origin::Tcp(peer) => peer.local_addr(),
+            _ => None,
+        }
+    }
+
+    fn open(&mut self) -> io::Result<Box<dyn BufRead + Send>> {
+        match &mut self.origin {
+            Origin::File(path) | Origin::Follow(path) => std::fs::File::open(&*path)
+                .map(|f| Box::new(BufReader::new(f)) as Box<dyn BufRead + Send>)
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))),
+            Origin::Tcp(peer) => peer.open(),
+            Origin::Http(url) => http::get(url),
+        }
+    }
+
+    /// What the source reports when its input is exhausted or absent.
+    fn at_end(&self) -> SourceState {
+        match self.origin {
+            Origin::Follow(_) => SourceState::Idle,
+            Origin::File(_) | Origin::Tcp(_) | Origin::Http(_) => SourceState::Done,
         }
     }
 }
 
-impl Operator for FollowFileSource {
+impl Operator for LineSource {
     fn process(&mut self, _t: DataTuple, _ctx: &mut OpContext<'_>) {}
 
     fn checkpoint(&mut self) -> Option<&mut dyn Checkpoint> {
@@ -265,91 +242,101 @@ impl Operator for FollowFileSource {
         if ctx.stop_requested() {
             return SourceState::Done;
         }
-        if self.reader.is_none() {
-            match std::fs::File::open(&self.path) {
-                Ok(f) => self.reader = Some(std::io::BufReader::new(f)),
-                Err(_) => return SourceState::Idle, // not created yet
+        if self.input.is_none() {
+            match self.open() {
+                Ok(input) => self.input = Some(input),
+                Err(e) => {
+                    let state = self.at_end();
+                    if state == SourceState::Done {
+                        eprintln!("LineSource: cannot open input: {e}");
+                    }
+                    return state;
+                }
             }
         }
-        let reader = self.reader.as_mut().expect("reader installed above");
+        let end = self.at_end();
+        let input = self.input.as_mut().expect("opened above");
         loop {
-            self.line.clear();
-            match reader.read_line(&mut self.line) {
-                Ok(0) => return SourceState::Idle, // at EOF: wait for more
-                Ok(_) => {
-                    if !self.line.ends_with('\n') {
-                        // Incomplete trailing line: stash and wait for the
-                        // writer to finish it.
-                        self.partial.push_str(&self.line);
-                        return SourceState::Idle;
-                    }
-                    let full = if self.partial.is_empty() {
-                        std::mem::take(&mut self.line)
-                    } else {
-                        let mut s = std::mem::take(&mut self.partial);
-                        s.push_str(&self.line);
-                        s
-                    };
-                    let trimmed = full.trim();
-                    if trimmed.is_empty() || trimmed.starts_with('#') {
-                        continue;
-                    }
-                    if self.resume_skip > 0 {
-                        // Row already emitted before the checkpoint; discard.
-                        self.resume_skip -= 1;
-                        continue;
-                    }
-                    let mut values = Vec::new();
-                    let mut mask = Vec::new();
-                    let mut any_missing = false;
-                    for field in trimmed.split(',') {
-                        match field.trim().parse::<f64>() {
-                            Ok(v) if v.is_finite() => {
-                                values.push(v);
-                                mask.push(true);
-                            }
-                            _ => {
-                                values.push(0.0);
-                                mask.push(false);
-                                any_missing = true;
-                            }
-                        }
-                    }
-                    let t = if any_missing {
-                        DataTuple::masked(self.seq, values, mask)
-                    } else {
-                        DataTuple::new(self.seq, values)
-                    };
-                    self.seq += 1;
-                    ctx.emit_data(0, t);
-                    return SourceState::Emitted;
+            match input.read_until(b'\n', &mut self.line) {
+                Ok(_) => {}
+                // A socket read timeout: nothing more yet, keep the
+                // partial line and stay responsive to stop requests.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return SourceState::Idle;
                 }
                 Err(e) => {
-                    eprintln!(
-                        "FollowFileSource: read error on {}: {e}",
-                        self.path.display()
-                    );
+                    eprintln!("LineSource: read error: {e}");
                     return SourceState::Done;
                 }
             }
+            if self.line.last() != Some(&b'\n') {
+                // End of input. A waiting origin keeps a partial line for
+                // the writer to finish; otherwise it is the last line.
+                if self.line.is_empty() || end == SourceState::Idle {
+                    return end;
+                }
+            }
+            let Ok(text) = std::str::from_utf8(&self.line) else {
+                eprintln!("LineSource: input is not UTF-8");
+                return SourceState::Done;
+            };
+            if self.resume_skip > 0 && data_text(text).is_some() {
+                // Row already emitted before the checkpoint; discard.
+                self.resume_skip -= 1;
+                self.line.clear();
+                continue;
+            }
+            let parsed = parse_row_into(text, &mut self.values, &mut self.mask);
+            self.line.clear();
+            let Some(all_observed) = parsed else {
+                continue;
+            };
+            let width = self.values.len();
+            let values = std::mem::replace(&mut self.values, Vec::with_capacity(width));
+            let t = if all_observed {
+                DataTuple::new(self.seq, values)
+            } else {
+                let mask = std::mem::replace(&mut self.mask, Vec::with_capacity(width));
+                DataTuple::masked(self.seq, values, mask)
+            };
+            self.seq += 1;
+            ctx.emit_data(0, t);
+            return SourceState::Emitted;
         }
     }
 }
 
-impl Checkpoint for FollowFileSource {
+impl Checkpoint for LineSource {
     fn snapshot(&self) -> Vec<u8> {
         encode_kv(&[("seq", self.seq.to_string())])
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        let kv = decode_kv(bytes)?;
-        self.seq = kv_u64(&kv, "seq")?;
-        self.reader = None;
-        self.partial.clear();
-        self.resume_skip = self.seq;
+    /// A file is reopened from the top, discarding the rows already
+    /// emitted. A network feed is live — the wire position cannot rewind —
+    /// so a restore keeps the open connection (the instance survived a PE
+    /// restart in memory) and resumes numbering where the snapshot left
+    /// off; what the peer sent meanwhile is simply the stream's present.
+    fn restore(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.seq = kv_u64(&decode_kv(bytes)?, "seq")?;
+        match self.origin {
+            Origin::File(_) | Origin::Follow(_) => {
+                self.input = None;
+                self.line.clear();
+                self.resume_skip = self.seq;
+            }
+            Origin::Tcp(_) | Origin::Http(_) => {}
+        }
         Ok(())
     }
 }
+
+/// [`LineSource`] under its old file-source name. It exists only because
+/// the benchmark harness (`perfbench/`) calls `CsvFileSource::new`.
+pub type CsvFileSource = LineSource;
+
+/// [`LineSource`] under its old TCP-source name. It exists only because
+/// the benchmark harness (`perfbench/`) calls `TcpSource::listen`.
+pub type TcpSource = LineSource;
 
 #[cfg(test)]
 mod tests {
@@ -409,7 +396,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("spca_src_test_{}.csv", std::process::id()));
         std::fs::write(&path, "# header\n1.0,2.0\n3.0,nan\n").unwrap();
-        let mut src = CsvFileSource::new(&path);
+        let mut src = LineSource::new(&path);
         let sink = with_ctx(1, |ctx| {
             assert_eq!(src.drive(ctx), SourceState::Emitted);
             assert_eq!(src.drive(ctx), SourceState::Emitted);
@@ -424,7 +411,7 @@ mod tests {
 
     #[test]
     fn missing_file_terminates_gracefully() {
-        let mut src = CsvFileSource::new("/nonexistent/spca.csv");
+        let mut src = LineSource::new("/nonexistent/spca.csv");
         with_ctx(1, |ctx| {
             assert_eq!(src.drive(ctx), SourceState::Done);
         });
@@ -436,7 +423,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("spca_follow_test_{}.csv", std::process::id()));
         std::fs::write(&path, "1.0,2.0\n").unwrap();
-        let mut src = FollowFileSource::new(&path);
+        let mut src = LineSource::follow(&path);
         let sink = with_ctx(1, |ctx| {
             assert_eq!(src.drive(ctx), SourceState::Emitted);
             // EOF: idles rather than finishing.
@@ -464,7 +451,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("spca_follow_missing_{}.csv", std::process::id()));
         std::fs::remove_file(&path).ok();
-        let mut src = FollowFileSource::new(&path);
+        let mut src = LineSource::follow(&path);
         with_ctx(1, |ctx| {
             assert_eq!(src.drive(ctx), SourceState::Idle);
             std::fs::write(&path, "9.0\n").unwrap();
@@ -478,7 +465,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("spca_src_ckpt_{}.csv", std::process::id()));
         std::fs::write(&path, "# header\n1.0\n2.0\n\n3.0\n4.0\n").unwrap();
-        let mut src = CsvFileSource::new(&path);
+        let mut src = LineSource::new(&path);
         let snap = with_ctx(1, |ctx| {
             assert_eq!(src.drive(ctx), SourceState::Emitted);
             assert_eq!(src.drive(ctx), SourceState::Emitted);
@@ -488,7 +475,7 @@ mod tests {
 
         // A fresh instance restored from the snapshot picks up at row 3,
         // skipping comments and blank lines exactly like the first pass.
-        let mut resumed = CsvFileSource::new(&path);
+        let mut resumed = LineSource::new(&path);
         resumed.restore(&bytes).unwrap();
         let sink = with_ctx(1, |ctx| {
             assert_eq!(resumed.drive(ctx), SourceState::Emitted);
@@ -525,7 +512,7 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("spca_follow_stop_{}.csv", std::process::id()));
         std::fs::write(&path, "").unwrap();
-        let mut src = FollowFileSource::new(&path);
+        let mut src = LineSource::follow(&path);
         let counters = crate::metrics::OpCounters::default();
         let mut sink = crate::operator::testing::CaptureSink::new(1);
         sink.stop = true;

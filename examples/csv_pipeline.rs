@@ -17,7 +17,7 @@ use astro_stream_pca::spectra::contaminants::{self, ContaminantKind};
 use astro_stream_pca::spectra::io;
 use astro_stream_pca::spectra::normalize::unit_norm_masked;
 use astro_stream_pca::spectra::GalaxyGenerator;
-use astro_stream_pca::streams::ops::CsvFileSource;
+use astro_stream_pca::streams::ops::LineSource;
 use astro_stream_pca::streams::Engine;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,7 +72,7 @@ fn main() {
     let mut cfg = AppConfig::new(3, pca);
     cfg.emit_outcomes = true;
     cfg.snapshot_dir = Some(snapshot_dir.clone());
-    let source = Box::new(CsvFileSource::new(&input_csv));
+    let source = Box::new(LineSource::new(&input_csv));
     let (graph, handles) = ParallelPcaApp::build(&cfg, source);
     let report = Engine::run(graph);
     let consumed = report.tuples_in_matching("pca-");

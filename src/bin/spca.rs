@@ -27,12 +27,13 @@ use astro_stream_pca::spectra::normalize::unit_norm_masked;
 use astro_stream_pca::spectra::GalaxyGenerator;
 use astro_stream_pca::streams::metrics::FaultCounts;
 use astro_stream_pca::streams::ops::http_server::{HttpServer, RateLimitConfig, ServerConfig};
-use astro_stream_pca::streams::ops::{CsvFileSource, HttpSource, TcpSource};
+use astro_stream_pca::streams::ops::LineSource;
 use astro_stream_pca::streams::{Engine, Operator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -312,6 +313,27 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Opens a CSV input for buffered reading.
+fn open_input(path: &std::path::Path) -> Result<BufReader<std::fs::File>, String> {
+    std::fs::File::open(path)
+        .map(BufReader::new)
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The width of the first data row, reading no further than that row.
+fn first_row_width(mut input: impl BufRead) -> Result<usize, String> {
+    let (mut line, mut values, mut mask) = (String::new(), Vec::new(), Vec::new());
+    loop {
+        line.clear();
+        if input.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
+            return Err("input has no data rows".to_string());
+        }
+        if io::parse_row_into(&line, &mut values, &mut mask).is_some() {
+            return Ok(values.len());
+        }
+    }
+}
+
 /// Resolves the ingest source (exactly one of `--input`, `--listen`,
 /// `--url`) and the stream dimensionality (probed from the file, or
 /// `--dim` for network streams). Shared by `run` and `serve`.
@@ -321,21 +343,18 @@ fn ingest_source_and_dim(opts: &Opts) -> Result<(Box<dyn Operator>, usize), Stri
             if !std::path::Path::new(path).exists() {
                 return Err(format!("input file '{path}' does not exist"));
             }
-            Box::new(CsvFileSource::new(path))
+            Box::new(LineSource::new(path))
         }
         (None, Some(addr), None) => {
-            let src = TcpSource::listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+            let src = LineSource::listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
             println!("listening on {}", src.local_addr().expect("bound"));
             Box::new(src)
         }
-        (None, None, Some(url)) => Box::new(HttpSource::get(url)?),
+        (None, None, Some(url)) => Box::new(LineSource::get(url)?),
         _ => return Err("exactly one of --input, --listen or --url is required".to_string()),
     };
     let dim: usize = match opts.get("input") {
-        Some(path) => {
-            let first = io::read_csv(path).map_err(|e| e.to_string())?;
-            first.first().ok_or("input file is empty")?.0.len()
-        }
+        Some(path) => first_row_width(open_input(path.as_ref())?)?,
         None => opts.num("dim", 0).and_then(|d: usize| {
             if d == 0 {
                 Err("--dim is required with --listen/--url".to_string())
@@ -374,8 +393,7 @@ fn parse_dist_spec(opts: &Opts, input: &std::path::Path) -> Result<DistSpec, Str
             .ok_or("--snapshots is required (where engine eigensystems are persisted)")?,
     );
     let recovery = opts.get("snapshot-dir").map(PathBuf::from);
-    let first = io::read_csv(input).map_err(|e| e.to_string())?;
-    let dim = first.first().ok_or("input file is empty")?.0.len();
+    let dim = first_row_width(open_input(input)?)?;
     if components + 2 >= dim {
         return Err(format!(
             "--components {components} too large for dimension {dim}"
@@ -406,8 +424,7 @@ fn cmd_coordinator(opts: &Opts) -> Result<(), String> {
     let spec = parse_dist_spec(opts, &input)?;
     if workers == 0 {
         // In-process baseline: identical graph and parameters, no sockets.
-        let report =
-            astro_stream_pca::engine::run_local(&spec, Box::new(CsvFileSource::new(&input)));
+        let report = astro_stream_pca::engine::run_local(&spec, Box::new(LineSource::new(&input)));
         let processed = report.op("split").map_or(0, |o| o.tuples_in);
         println!(
             "local baseline complete: {processed} observations across {} engines; snapshots in {}",
@@ -886,12 +903,7 @@ fn cmd_backfill(opts: &Opts) -> Result<(), String> {
     // Probe the dimensionality from the first data row of the first
     // partition (the partitions already hold the corpus bytes).
     let first_text = partitions[0].payload.as_str().map_err(|e| e.to_string())?;
-    let dim = first_text
-        .lines()
-        .find_map(io::parse_csv_line)
-        .ok_or("corpus has no data rows")?
-        .0
-        .len();
+    let dim = first_row_width(first_text.as_bytes())?;
     if components + 2 >= dim {
         return Err(format!(
             "--components {components} too large for dimension {dim}"

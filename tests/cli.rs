@@ -424,6 +424,80 @@ fn backfill_cold_then_warm_round_trip() {
 }
 
 #[test]
+fn dimension_probe_skips_leading_comments_and_blank_lines() {
+    let dir = std::env::temp_dir().join(format!("spca-cli-probe-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let generated = dir.join("generated.csv");
+    let gen = spca(&[
+        "generate",
+        "--out",
+        generated.to_str().unwrap(),
+        "--n",
+        "300",
+        "--pixels",
+        "16",
+        "--seed",
+        "5",
+    ]);
+    assert!(gen.status.success());
+    let csv = dir.join("commented.csv");
+    let body = std::fs::read_to_string(&generated).unwrap();
+    std::fs::write(
+        &csv,
+        format!("# survey extract\n\n   \n# 16 pixels\n{body}"),
+    )
+    .unwrap();
+    let input = csv.to_str().unwrap();
+
+    let run = spca(&[
+        "run",
+        "--input",
+        input,
+        "--engines",
+        "1",
+        "--components",
+        "3",
+    ]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("(d = 16,"), "{stdout}");
+
+    let snaps = dir.join("snaps");
+    let coord = spca(&[
+        "coordinator",
+        "--input",
+        input,
+        "--workers",
+        "0",
+        "--engines",
+        "1",
+        "--components",
+        "3",
+        "--snapshots",
+        snaps.to_str().unwrap(),
+    ]);
+    let stdout = String::from_utf8_lossy(&coord.stdout);
+    assert!(
+        coord.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&coord.stderr)
+    );
+    assert!(stdout.contains("300 observations"), "{stdout}");
+
+    let empty = dir.join("comments-only.csv");
+    std::fs::write(&empty, "# nothing yet\n\n").unwrap();
+    let out = spca(&["run", "--input", empty.to_str().unwrap()]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no data rows"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn valid_generate_round_trips() {
     let dir = std::env::temp_dir().join(format!("spca-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -338,11 +338,11 @@ fn quarantine_captures_flagged_observations_verbatim() {
 fn tcp_fed_parallel_application() {
     // Full network deployment shape: a producer process (graph) ships
     // tuples over TCP; the analysis application ingests them through a
-    // TcpSource and runs the usual split + engines.
-    use astro_stream_pca::streams::ops::{TcpSink, TcpSource};
+    // LineSource and runs the usual split + engines.
+    use astro_stream_pca::streams::ops::{LineSource, TcpSink};
     use astro_stream_pca::streams::{GraphBuilder, PortKind};
 
-    let tcp_in = TcpSource::listen("127.0.0.1:0").expect("bind");
+    let tcp_in = LineSource::listen("127.0.0.1:0").expect("bind");
     let addr = tcp_in.local_addr().expect("bound");
 
     let cfg = AppConfig::new(2, pca_cfg());
