@@ -9,13 +9,13 @@
 //! at paper-scale dimensions the PCA update dominates and batching is
 //! simply neutral.
 //!
-//! Unfused cells run their cross-PE data links as `LinkKind::Network`
-//! with a 1 µs modeled per-message overhead — PEs that are not fused
-//! communicate over the network in the paper's deployment, and every
-//! real send pays a fixed per-message cost (the repo's calibrated
-//! cluster cost model puts it at *hundreds* of µs on the paper's 2012
-//! hardware, so 1 µs is conservative). Fused cells have no cross-PE
-//! transport and are unaffected; they are the no-network control row.
+//! Unfused cells split the application graph across two loopback
+//! [`NetTransport`] partitions in this process, laid out like `spca
+//! coordinator` with one `spca worker`: the `pca-*` operators on one side,
+//! source, split and monitor on the other. Every tuple the split hands an
+//! engine crosses real TCP, so each frame pays the per-message encode,
+//! syscall and wakeup cost that batching amortizes. Fused cells have no
+//! cross-PE transport; they are the no-network control row.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -23,18 +23,25 @@ use rand::SeedableRng;
 use spca_bench::json::{write_artifact, Json};
 use spca_bench::{print_table, write_csv};
 use spca_core::PcaConfig;
-use spca_engine::{AppConfig, ParallelPcaApp, SyncStrategy};
+use spca_engine::distributed::{coordinator_partition, worker_partition};
+use spca_engine::{
+    register_wire_codecs, stub_source, AppConfig, DistSpec, ParallelPcaApp, SyncStrategy,
+};
 use spca_spectra::PlantedSubspace;
+use spca_streams::engine::RunningEngine;
 use spca_streams::ops::GeneratorSource;
-use spca_streams::{Engine, DEFAULT_BATCH_SIZE};
+use spca_streams::{
+    Engine, GraphBuilder, NetPartition, NetTransport, RunReport, DEFAULT_BATCH_SIZE,
+};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 const DIM: usize = 16;
 const TUPLES: u64 = 20_000;
 const RUNS: usize = 5;
-/// Modeled per-message overhead on unfused cross-PE data links (µs).
-const NET_DELAY_US: u64 = 1;
+const COMPONENTS: usize = 2;
+const MEMORY: usize = 2000;
 
 fn run_once(
     samples: &Arc<Vec<Vec<f64>>>,
@@ -42,12 +49,13 @@ fn run_once(
     fuse: bool,
     batch: usize,
 ) -> (f64, u64, u64) {
-    let pca = PcaConfig::new(DIM, 2).with_memory(2000).with_init_size(20);
+    let pca = PcaConfig::new(DIM, COMPONENTS)
+        .with_memory(MEMORY)
+        .with_init_size(20);
     let mut cfg = AppConfig::new(n_engines, pca);
     cfg.fuse = fuse;
     cfg.sync = SyncStrategy::None;
     cfg.batch_size = batch;
-    cfg.network_delay_us = NET_DELAY_US;
     let data = Arc::clone(samples);
     let cursor = Arc::new(Mutex::new(0usize));
     let source = Box::new(
@@ -60,15 +68,61 @@ fn run_once(
         .with_max_tuples(TUPLES),
     );
     let (g, _h) = ParallelPcaApp::build(&cfg, source);
+    let parts = if fuse {
+        vec![(g, None)]
+    } else {
+        loopback_partitions(&cfg, g)
+    };
     let t0 = Instant::now();
-    let report = Engine::run(g);
+    let running: Vec<RunningEngine> = parts
+        .into_iter()
+        .map(|(g, part)| match part {
+            Some(part) => Engine::start_in_partition(g, part),
+            None => Engine::start(g),
+        })
+        .collect();
+    let reports: Vec<RunReport> = running.into_iter().map(RunningEngine::join).collect();
     let dt = t0.elapsed().as_secs_f64();
-    assert_eq!(report.tuples_in_matching("pca-"), TUPLES);
+    let tuples: u64 = reports.iter().map(|r| r.tuples_in_matching("pca-")).sum();
+    assert_eq!(tuples, TUPLES);
     (
         TUPLES as f64 / dt,
-        report.total_restarts(),
-        report.total_pe_restarts(),
+        reports.iter().map(RunReport::total_restarts).sum(),
+        reports.iter().map(RunReport::total_pe_restarts).sum(),
     )
+}
+
+/// Splits the unfused graph the way `spca coordinator` and one `spca
+/// worker` do, each side on its own loopback transport: the worker graph
+/// holds every engine, the coordinator graph (`coord`, which carries the
+/// real source) everything else. The worker comes first so its transport
+/// is listening before the coordinator starts sending.
+fn loopback_partitions(
+    cfg: &AppConfig,
+    coord: GraphBuilder,
+) -> Vec<(GraphBuilder, Option<NetPartition>)> {
+    let (worker, _h) = ParallelPcaApp::build(cfg, stub_source());
+    let coord_net = NetTransport::bind("127.0.0.1:0").expect("bind coordinator transport");
+    let worker_net = NetTransport::bind("127.0.0.1:0").expect("bind worker transport");
+    // Only the engine count and the addresses decide the partitions; the
+    // other fields mirror `cfg` for the record.
+    let spec = DistSpec {
+        n_engines: cfg.n_engines,
+        n_workers: 1,
+        dim: DIM,
+        components: COMPONENTS,
+        memory: MEMORY,
+        batch: cfg.batch_size,
+        capacity: cfg.channel_capacity,
+        snapshot_every: cfg.snapshot_every,
+        snapshots: PathBuf::new(),
+        recovery: None,
+        coord_data: coord_net.local_addr(),
+        worker_data: vec![worker_net.local_addr()],
+    };
+    let coord_part = coordinator_partition(&spec, &coord, coord_net);
+    let worker_part = worker_partition(&spec, &worker, worker_net, 0);
+    vec![(worker, Some(worker_part)), (coord, Some(coord_part))]
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -96,6 +150,8 @@ fn measure(
 }
 
 fn main() {
+    // Engine snapshots cross the partition boundary in unfused cells.
+    register_wire_codecs();
     // Pre-generate the stream so the generator cost is identical (and
     // negligible) in every cell.
     let w = PlantedSubspace::new(DIM, 2, 0.05);
@@ -154,20 +210,22 @@ fn main() {
     let csv = write_csv("fig_engine.csv", &header, &rows);
     println!("\nwrote {}", csv.display());
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = Json::obj([
         ("schema", "engine-v1".into()),
         (
             "benchmark",
             format!(
                 "engine_throughput grid (d = {DIM}, {TUPLES} tuples, median of {RUNS} runs per \
-                 cell; unfused cross-PE links modeled at {NET_DELAY_US} µs per message)"
+                 cell; unfused cells split across two loopback TCP partitions)"
             )
             .into(),
         ),
         (
             "machine_note",
-            "single container vCPU, cargo run --release, same build for both columns".into(),
+            "cargo run --release, same build for both columns".into(),
         ),
+        ("cores", cores.into()),
         ("tuples", TUPLES.into()),
         ("dim", DIM.into()),
         ("batch", DEFAULT_BATCH_SIZE.into()),

@@ -15,10 +15,10 @@
 //!    two runs must also produce bit-identical eigensystem snapshots —
 //!    the bench aborts otherwise.
 //! 4. **Per-message overhead.** Half the median round trip of a
-//!    64-byte message on loopback TCP with `TCP_NODELAY`: the measured
-//!    calibration constant for the cluster cost model's
-//!    `network_delay_us` (the paper's 2012 cluster is modeled at
-//!    hundreds of µs; loopback shows today's floor).
+//!    64-byte message on loopback TCP with `TCP_NODELAY`. It is a
+//!    recorded measurement of today's loopback floor; no code reads it
+//!    (the cluster cost model charges per-tuple CPU terms, not a
+//!    per-message delay).
 //!
 //! Re-executes itself as `fig_net worker --coordinator A --index N
 //! --data D` for the worker processes — the same argument shape the

@@ -493,12 +493,13 @@ use Waiver::*;
 static SCHEMAS: &[(&str, Shape)] = &[
     (
         // `BENCH_engine.json`: cross-PE batching holds its speedup on the
-        // full application graph.
+        // full application graph, unfused links running over loopback TCP.
         "engine-v1",
         Shape {
             fields: &[
                 ("benchmark", Str),
                 ("machine_note", Str),
+                ("cores", Count),
                 ("tuples", Count),
                 ("dim", Count),
                 ("batch", Count),
@@ -524,9 +525,11 @@ static SCHEMAS: &[(&str, Shape)] = &[
                 ),
             ],
             gates: &[
-                Positive(&["tuples"]),
+                Positive(&["cores", "tuples"]),
                 Floor("batch", 2.0, None),
                 Zero(&["restarts", "pe_restarts"]),
+                Row("results[config=unfused-2]"),
+                Floor("results[config=unfused-2].speedup", 1.5, None),
             ],
         },
     ),
@@ -1017,7 +1020,8 @@ mod tests {
     use super::*;
 
     const ENGINE: &str = r#"{"schema": "engine-v1", "benchmark": "engine transport",
-        "machine_note": "test", "tuples": 3000, "dim": 64, "batch": 64, "target": "1.5x",
+        "machine_note": "test", "cores": 2, "tuples": 3000, "dim": 64, "batch": 64,
+        "target": "1.5x",
         "restarts": 0, "pe_restarts": 0, "results": [{"config": "unfused-2", "fused": false,
         "engines": 2, "batch1_tuples_per_s": 1000, "batched_tuples_per_s": 2000,
         "speedup": 2}]}"#;
@@ -1196,6 +1200,34 @@ mod tests {
             err.contains("results[1]: 'speedup' is 4, inconsistent"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn engine_report_enforces_unfused_speedup_floor() {
+        // 1.2x on the unfused 2-engine cell; no core count waives it.
+        let slow = edit(
+            ENGINE,
+            &[
+                (
+                    r#""batched_tuples_per_s": 2000"#,
+                    r#""batched_tuples_per_s": 1200"#,
+                ),
+                (r#""speedup": 2}"#, r#""speedup": 1.2}"#),
+            ],
+        );
+        let err = rejection(&slow);
+        assert!(
+            err.contains("'results[config=unfused-2].speedup' is 1.2, below its floor 1.5"),
+            "{err}"
+        );
+        assert!(!passes(&edit(&slow, &[(r#""cores": 2"#, r#""cores": 1"#)])));
+        let err = rejection(&edit(ENGINE, &[("unfused-2", "fused-2")]));
+        assert!(
+            err.contains("missing required row results[config=unfused-2]"),
+            "{err}"
+        );
+        let err = rejection(&edit(ENGINE, &[(r#""cores": 2, "#, "")]));
+        assert!(err.contains("missing field 'cores'"), "{err}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -406,24 +406,22 @@ pub fn run_worker(
     // Heartbeat until the partition drains; write failures are harmless
     // (the coordinator treats silence as death and the run as a whole
     // still converges through the data plane).
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    let (hb_stop, stopped) = mpsc::channel();
     let hb = {
-        let stop = Arc::clone(&hb_stop);
         let w = Arc::clone(&writer);
         let msg = format!("HB {index}");
         std::thread::Builder::new()
             .name("spca-hb".into())
             .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                heartbeat_loop(&stopped, HEARTBEAT_PERIOD, || {
                     let _ = write_line(&w, &msg);
-                    std::thread::sleep(HEARTBEAT_PERIOD);
-                }
+                })
             })
             .expect("spawn heartbeat thread")
     };
 
     let report = running.join();
-    hb_stop.store(true, Ordering::Relaxed);
+    drop(hb_stop);
     let _ = hb.join();
 
     write_line(&writer, &format!("DONE {index}"))?;
@@ -434,6 +432,18 @@ pub fn run_worker(
     line.clear();
     let _ = reader.read_line(&mut line);
     Ok(report)
+}
+
+/// Calls `beat` every `period` until `stop`'s sender is dropped. The wait
+/// is on the channel, so a stop cuts the current period short instead of
+/// holding the caller for up to one more period.
+fn heartbeat_loop(stop: &mpsc::Receiver<()>, period: Duration, mut beat: impl FnMut()) {
+    loop {
+        beat();
+        if stop.recv_timeout(period) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
+    }
 }
 
 /// Outcome of a coordinator run.
@@ -801,6 +811,32 @@ mod tests {
         assert!(!ok, "third consecutive death exceeds a budget of 2");
         assert_eq!(attempt, 3);
         assert_eq!(b.total, 4);
+    }
+
+    #[test]
+    fn stopping_the_heartbeat_does_not_wait_out_its_period() {
+        let (stop, stopped) = mpsc::channel();
+        let beats = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let hb = {
+            let beats = Arc::clone(&beats);
+            std::thread::spawn(move || {
+                heartbeat_loop(&stopped, Duration::from_secs(10), || {
+                    beats.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+        };
+        while beats.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        drop(stop);
+        hb.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "stop took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(beats.load(Ordering::Relaxed), 1);
     }
 
     #[test]

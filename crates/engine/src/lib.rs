@@ -17,7 +17,7 @@
 //!   (circular/ring as in Fig. 3, broadcast, groups), the throttle pacing,
 //!   and the `1.5·N` independence gate.
 //! * [`app`] — the application builder assembling the full graph with
-//!   fusion/placement options.
+//!   fused (one PE) and unfused configurations.
 //! * [`results`] — the in-flight results hub: latest per-engine
 //!   eigensystems, merged global estimates, outlier feed.
 

@@ -1,6 +1,9 @@
 //! Regression tests: synchronization behaviour is invariant under the
-//! cross-PE transport batch size. Batching changes how tuples travel
-//! (frames vs. one-at-a-time), never what the application computes.
+//! cross-PE transport batch size and under the transport itself. Batching
+//! changes how tuples travel (frames vs. one-at-a-time), and a loopback
+//! TCP partition boundary changes what carries them (codec frames over a
+//! socket vs. in-process channels); neither changes what the application
+//! computes.
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -8,12 +11,15 @@ use rand::SeedableRng;
 use spca_core::{EigenSystem, PcaConfig};
 use spca_engine::messages::KIND_SNAPSHOT;
 use spca_engine::{
-    AppConfig, ParallelPcaApp, PeerState, StreamingPcaOp, SyncStrategy, KIND_PEER_STATE,
+    register_wire_codecs, stub_source, AppConfig, ParallelPcaApp, PeerState, StreamingPcaOp,
+    SyncStrategy, KIND_PEER_STATE,
 };
 use spca_spectra::PlantedSubspace;
 use spca_streams::{
-    ControlTuple, DataTuple, Engine, GraphBuilder, OpContext, Operator, PortKind, SourceState,
+    ControlTuple, DataTuple, Engine, GraphBuilder, NetPartition, NetTransport, OpContext, Operator,
+    PortKind, RunReport, SourceState,
 };
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const D: usize = 16;
@@ -93,29 +99,91 @@ impl Operator for SnapshotSink {
     }
 }
 
+/// Where the graph's cross-PE edges run.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// One process: every cross-PE edge is an in-process frame channel.
+    InProcess,
+    /// Two partitions, each on its own loopback [`NetTransport`]: the
+    /// edges between them are codec frames over TCP.
+    Loopback,
+}
+
+/// Runs two builds of the same graph as two loopback partitions, the
+/// first owning the operators `in_first` picks, the second the rest, and
+/// returns both reports. The second starts first so it listens before the
+/// first sends.
+fn run_split(
+    first: GraphBuilder,
+    second: GraphBuilder,
+    in_first: impl Fn(&str) -> bool,
+) -> Vec<RunReport> {
+    let a = NetTransport::bind("127.0.0.1:0").expect("bind first transport");
+    let b = NetTransport::bind("127.0.0.1:0").expect("bind second transport");
+    let partition = |g: &GraphBuilder, net: &Arc<NetTransport>, mine: bool, peer| {
+        let names = g.op_names();
+        let edges = g.edge_list();
+        NetPartition {
+            local_ops: names
+                .iter()
+                .filter(|n| in_first(n) == mine)
+                .map(|n| n.to_string())
+                .collect::<HashSet<_>>(),
+            net: Arc::clone(net),
+            peers: edges
+                .iter()
+                .enumerate()
+                .filter(|(_, (f, _, t, _))| {
+                    in_first(g.op_name(*f)) == mine && in_first(g.op_name(*t)) != mine
+                })
+                .map(|(eid, _)| (eid as u64, peer))
+                .collect::<HashMap<_, _>>(),
+            rehydrate: false,
+        }
+    };
+    let first_part = partition(&first, &a, true, b.local_addr());
+    let second_part = partition(&second, &b, false, a.local_addr());
+    let second = Engine::start_in_partition(second, second_part);
+    let first = Engine::start_in_partition(first, first_part);
+    vec![first.join(), second.join()]
+}
+
 /// Runs `scripted source → pca (cross-PE) → monitor sink` at the given
-/// batch size and returns (merges applied, final eigensystem).
-fn run_scripted(batch: usize, samples: &[Vec<f64>]) -> (u64, EigenSystem) {
-    let mut g = GraphBuilder::new().with_batch_size(batch);
-    let src = g.add_source(
-        "src",
-        Box::new(ScriptedSource {
-            samples: samples.to_vec(),
-            inject_at: 600,
-            next: 0,
-        }),
-    );
-    let pca = g.add_op("pca-0", Box::new(StreamingPcaOp::new(0, pca_cfg(), 1)));
+/// batch size and returns (merges applied, final eigensystem). In the
+/// loopback layout the source is alone in one partition.
+fn run_scripted(layout: Layout, batch: usize, samples: &[Vec<f64>]) -> (u64, EigenSystem) {
+    let build = |store: &Arc<Mutex<Vec<PeerState>>>| {
+        let mut g = GraphBuilder::new().with_batch_size(batch);
+        let src = g.add_source(
+            "src",
+            Box::new(ScriptedSource {
+                samples: samples.to_vec(),
+                inject_at: 600,
+                next: 0,
+            }),
+        );
+        let pca = g.add_op("pca-0", Box::new(StreamingPcaOp::new(0, pca_cfg(), 1)));
+        let mon = g.add_op(
+            "monitor",
+            Box::new(SnapshotSink {
+                store: Arc::clone(store),
+            }),
+        );
+        g.connect(src, 0, pca, PortKind::Data);
+        g.connect(pca, 1, mon, PortKind::Control);
+        g
+    };
     let store = Arc::new(Mutex::new(Vec::new()));
-    let mon = g.add_op(
-        "monitor",
-        Box::new(SnapshotSink {
-            store: Arc::clone(&store),
-        }),
-    );
-    g.connect(src, 0, pca, PortKind::Data);
-    g.connect(pca, 1, mon, PortKind::Control);
-    Engine::run(g);
+    match layout {
+        Layout::InProcess => {
+            Engine::run(build(&store));
+        }
+        Layout::Loopback => {
+            register_wire_codecs();
+            let unused = Arc::new(Mutex::new(Vec::new()));
+            run_split(build(&unused), build(&store), |op| op == "src");
+        }
+    }
     let snaps = store.lock();
     let last = snaps.last().expect("final snapshot expected");
     (last.merges_applied, last.eigensystem.clone())
@@ -147,48 +215,66 @@ fn sync_merge_is_batch_invariant() {
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     let samples: Vec<Vec<f64>> = (0..900).map(|_| w.sample(&mut rng)).collect();
 
-    let (merges_1, eig_1) = run_scripted(1, &samples);
+    let (merges_1, eig_1) = run_scripted(Layout::InProcess, 1, &samples);
     assert_eq!(merges_1, 1, "exactly one injected peer state");
-    for batch in [8, 64] {
-        let (merges_b, eig_b) = run_scripted(batch, &samples);
-        assert_eq!(merges_b, 1, "batch {batch}: merge count differs");
-        assert_eigensystems_identical(&eig_1, &eig_b, &format!("batch {batch}"));
+    for (layout, batch) in [
+        (Layout::InProcess, 8),
+        (Layout::InProcess, 64),
+        (Layout::Loopback, 1),
+        (Layout::Loopback, 64),
+    ] {
+        let what = format!("{layout:?} batch {batch}");
+        let (merges_b, eig_b) = run_scripted(layout, batch, &samples);
+        assert_eq!(merges_b, 1, "{what}: merge count differs");
+        assert_eigensystems_identical(&eig_1, &eig_b, &what);
     }
     eig_1.check_invariants().unwrap();
 }
 
 /// Full-application smoke test: a ring-synchronized parallel run completes
-/// and delivers every observation to the PCA tier at every batch size, and
-/// the merged estimate recovers the planted subspace.
+/// and delivers every observation to the PCA tier at every batch size, in
+/// one process and with the engines in their own loopback partition (the
+/// `spca coordinator` / `spca worker` layout), and the merged estimate
+/// recovers the planted subspace.
 #[test]
 fn parallel_app_delivers_everything_at_every_batch_size() {
     const N: u64 = 2000;
-    for batch in [1, 64] {
-        let w = PlantedSubspace::new(D, K, 0.05);
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut left = N;
-        let source = spca_streams::ops::GeneratorSource::new(move |_seq| {
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
-            Some((w.sample(&mut rng), None))
-        });
-        let mut cfg = AppConfig::new(2, pca_cfg());
-        cfg.sync = SyncStrategy::Ring;
-        cfg.sync_period = std::time::Duration::from_millis(5);
-        cfg.batch_size = batch;
-        let (g, h) = ParallelPcaApp::build_with_gate(&cfg, Box::new(source), Some(0));
-        let report = Engine::run(g);
-        assert_eq!(
-            report.tuples_in_matching("pca-"),
-            N,
-            "batch {batch}: observations lost or duplicated"
-        );
-        let merged = h.hub.merged_estimate().expect("snapshots expected");
-        let dist =
-            spca_core::metrics::subspace_distance(&merged.basis, w_basis_ref().basis()).unwrap();
-        assert!(dist < 0.25, "batch {batch}: distance {dist}");
+    for layout in [Layout::InProcess, Layout::Loopback] {
+        for batch in [1, 64] {
+            let w = PlantedSubspace::new(D, K, 0.05);
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut left = N;
+            let source = spca_streams::ops::GeneratorSource::new(move |_seq| {
+                if left == 0 {
+                    return None;
+                }
+                left -= 1;
+                Some((w.sample(&mut rng), None))
+            });
+            let mut cfg = AppConfig::new(2, pca_cfg());
+            cfg.sync = SyncStrategy::Ring;
+            cfg.sync_period = std::time::Duration::from_millis(5);
+            cfg.batch_size = batch;
+            let (g, h) = ParallelPcaApp::build_with_gate(&cfg, Box::new(source), Some(0));
+            let reports = match layout {
+                Layout::InProcess => vec![Engine::run(g)],
+                Layout::Loopback => {
+                    register_wire_codecs();
+                    let (engines, _) =
+                        ParallelPcaApp::build_with_gate(&cfg, stub_source(), Some(0));
+                    run_split(g, engines, |op| !op.starts_with("pca-"))
+                }
+            };
+            let delivered: u64 = reports.iter().map(|r| r.tuples_in_matching("pca-")).sum();
+            assert_eq!(
+                delivered, N,
+                "{layout:?} batch {batch}: observations lost or duplicated"
+            );
+            let merged = h.hub.merged_estimate().expect("snapshots expected");
+            let dist = spca_core::metrics::subspace_distance(&merged.basis, w_basis_ref().basis())
+                .unwrap();
+            assert!(dist < 0.25, "{layout:?} batch {batch}: distance {dist}");
+        }
     }
 }
 

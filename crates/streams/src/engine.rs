@@ -66,7 +66,7 @@
 
 use crate::checkpoint::{self, PeCheckpointer};
 use crate::fault::{FaultAction, FaultTarget, RestartPolicy};
-use crate::graph::{GraphBuilder, LinkKind, PortKind};
+use crate::graph::{GraphBuilder, PortKind};
 use crate::metrics::{
     Fault, FaultCounts, LinkCounters, LinkSnapshot, MetricsRegistry, OpCounters, OpSnapshot,
 };
@@ -125,8 +125,6 @@ impl InjectedFault {
 struct RemoteEdge {
     tx: Sender<Frame>,
     counters: Arc<LinkCounters>,
-    /// Modeled per-message sender-side overhead (network links).
-    delay: Option<Duration>,
     /// Flush threshold (tuples per frame); 1 = legacy per-tuple transport.
     batch: usize,
     buf: Vec<Tuple>,
@@ -216,19 +214,6 @@ impl RemoteEdge {
             return;
         }
         let tuples = std::mem::replace(&mut self.buf, self.pool.take(self.batch));
-        if let Some(d) = self.delay {
-            // The modeled overhead is charged once per message, mirroring
-            // the cluster cost model's per-message send/receive terms: on a
-            // real link every send pays a fixed syscall/framing/wakeup cost
-            // regardless of payload, and amortizing it is precisely what
-            // frame batching buys (§IV). A calibrated busy-wait is used
-            // instead of `sleep` because µs-scale sleeps are dominated by
-            // timer slack, which would swamp the model.
-            let until = Instant::now() + d;
-            while Instant::now() < until {
-                std::hint::spin_loop();
-            }
-        }
         let n = tuples.len() as u64;
         let frame = Frame::from_vec(tuples);
         let bytes = frame.wire_bytes();
@@ -323,7 +308,6 @@ enum Next {
 }
 
 struct OpSlot {
-    #[allow(dead_code)] // retained for debugging and future per-op reporting
     name: String,
     op: Option<Box<dyn Operator>>,
     counters: Arc<OpCounters>,
@@ -600,7 +584,6 @@ impl Engine {
     }
 
     fn start_inner(mut builder: GraphBuilder, partition: Option<NetPartition>) -> RunningEngine {
-        builder.apply_placements();
         let (op_pe, pes) = builder.resolve_pes();
         let n_ops = builder.ops.len();
         let mut metrics = MetricsRegistry::default();
@@ -745,19 +728,12 @@ impl Engine {
                     let (tx, rx) = bounded(frame_cap);
                     let link = metrics.register_link();
                     link_endpoints.push((op_names[e.from].clone(), op_names[e.to].clone()));
-                    let delay = match e.kind {
-                        LinkKind::Network { model_delay_us } if model_delay_us > 0 => {
-                            Some(Duration::from_micros(model_delay_us))
-                        }
-                        _ => None,
-                    };
                     let pool = Arc::new(FramePool::new(POOL_DEPTH));
                     let inflight = Arc::new(AtomicUsize::new(0));
                     slots_per_pe[from_pe][local_idx[e.from]].out_ports[e.out_port].push(
                         Target::Remote(RemoteEdge {
                             tx,
                             counters: link,
-                            delay,
                             batch,
                             buf: pool.take(batch),
                             pool: Arc::clone(&pool),
@@ -785,8 +761,7 @@ impl Engine {
                     // Outgoing boundary edge: batched exactly like an
                     // in-process remote edge, but the channel drains into
                     // the socket transport, which encodes each frame once
-                    // and retransmits it until the peer acknowledges. The
-                    // modeled delay never applies — this is the real wire.
+                    // and retransmits it until the peer acknowledges.
                     let p = partition.as_ref().expect("boundary edge implies partition");
                     let peer = *p.peers.get(&(eid as u64)).unwrap_or_else(|| {
                         panic!(
@@ -803,7 +778,6 @@ impl Engine {
                         Target::Remote(RemoteEdge {
                             tx,
                             counters: link,
-                            delay: None,
                             batch,
                             buf: pool.take(batch),
                             pool: Arc::clone(&pool),
@@ -2252,7 +2226,7 @@ mod tests {
     }
 
     #[test]
-    fn network_link_accounts_bytes() {
+    fn cross_pe_link_accounts_bytes() {
         let mut g = GraphBuilder::new();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let src = g.add_source("src", Box::new(CountSource { n: 10, next: 0 }));
@@ -2262,13 +2236,7 @@ mod tests {
                 seen: Arc::clone(&seen),
             }),
         );
-        g.connect_kind(
-            src,
-            0,
-            sink,
-            PortKind::Data,
-            LinkKind::Network { model_delay_us: 0 },
-        );
+        g.connect(src, 0, sink, PortKind::Data);
         let report = Engine::run(g);
         assert_eq!(report.links.len(), 1);
         // 10 data tuples (16 + 8 bytes each) + EOS (8).
